@@ -8,6 +8,11 @@ shared keys; a parent edge takes its head child's features overlaid
 with the rule's lhs features (lhs wins on conflict).  This is a
 deliberate reduction of unification, sufficient for case marking.
 
+Feature matches and parent categories depend only on the grammar and
+the categories involved, so they are memoised in the grammar's compiled
+tables (:attr:`Grammar.compiled`) and shared by every parse with that
+grammar object.
+
 Because the chart is built bottom-up without top-down filtering it
 keeps every constituent, which the chunk fallback exploits when no
 complete parse exists.
@@ -118,7 +123,6 @@ class Chart:
         self.length = length
         self.grammar = grammar
         self.nodes: list[_Node] = []
-        self.exhausted = False
         self._by_key: dict[tuple[Category, int, int], int] = {}
         self._by_start_name: dict[tuple[int, str], list[int]] = {}
         self._by_start: dict[int, list[int]] = {}
@@ -178,9 +182,10 @@ def parse(
 
     chart = Chart(len(terminals), grammar)
     rules = grammar.rules
-    rules_by_first: dict[str, list[int]] = {}
-    for idx, rule in enumerate(rules):
-        rules_by_first.setdefault(rule.rhs[0].name, []).append(idx)
+    compiled = grammar.compiled
+    rules_by_first = compiled.rules_by_first
+    matches = compiled.matches
+    parents = compiled.parents
 
     active_seen: set[_ActiveEdge] = set()
     active_waiting: dict[tuple[int, str], list[_ActiveEdge]] = {}
@@ -192,14 +197,22 @@ def parse(
 
     def advance(edge_rule: int, start: int, dot: int, children: tuple[int, ...], node: _Node) -> None:
         rule = rules[edge_rule]
-        if not features_match(rule.rhs[dot], node.category):
+        found = node.category
+        match_key = (edge_rule, dot, found.name, found.features)
+        matched = matches.get(match_key)
+        if matched is None:
+            matched = matches[match_key] = features_match(rule.rhs[dot], found)
+        if not matched:
             return
         new_children = children + (node.id,)
         new_dot = dot + 1
         end = node.end
         if new_dot == len(rule.rhs):
-            head_node = chart.node(new_children[rule.head - 1])
-            parent = _parent_category(rule.lhs, head_node.category)
+            head = chart.node(new_children[rule.head - 1]).category
+            parent_key = (edge_rule, head.name, head.features)
+            parent = parents.get(parent_key)
+            if parent is None:
+                parent = parents[parent_key] = _parent_category(rule.lhs, head)
             enqueue(chart._add(parent, start, end, (edge_rule, new_children)))
             return
         edge = _ActiveEdge(edge_rule, start, end, new_dot, new_children)
@@ -222,7 +235,6 @@ def parse(
         for edge in list(active_waiting.get((node.start, node.category.name), ())):
             advance(edge.rule_index, edge.start, edge.dot, edge.children, node)
 
-    chart.exhausted = True
     return chart
 
 

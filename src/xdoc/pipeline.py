@@ -102,7 +102,7 @@ def _load_validated(path: str | Path) -> ResourceBundle:
 
 
 def _frame_relations(frames: Sequence[FrameInstance], bundle: ResourceBundle) -> list[Relation]:
-    by_id = {frame.id: frame for frame in bundle.frames}
+    by_id = bundle.frames_by_id
     out: list[Relation] = []
     for instance in frames:
         frame = by_id[instance.frame_id]

@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import CyclicOntology, MalformedResource
@@ -105,10 +107,37 @@ class GrammarRule:
             raise ValueError(f"head index {self.head} outside rhs of length {len(self.rhs)}")
 
 
+@dataclass
+class CompiledGrammar:
+    """Chart-parser tables for one grammar object, shared by all its parses.
+
+    ``rules_by_first`` lists rule indices by the name of their first rhs
+    symbol.  The two memo tables fill as parses meet categories, each
+    keyed by a category's name and feature items: ``matches`` maps (rule
+    index, dot, category) to whether the category may fill rhs position
+    ``dot``, and ``parents`` maps (rule index, head category) to the
+    category of the completed edge, so each parent is built once.  They
+    grow with the distinct categories the input produces, not with its
+    length.
+    """
+
+    rules_by_first: dict[str, tuple[int, ...]]
+    matches: dict[tuple, bool] = field(default_factory=dict)
+    parents: dict[tuple, Category] = field(default_factory=dict)
+
+
 @dataclass(frozen=True)
 class Grammar:
     start_symbol: str = ""
     rules: tuple[GrammarRule, ...] = ()
+
+    @cached_property
+    def compiled(self) -> CompiledGrammar:
+        """The parser tables, built on the first parse with this object."""
+        by_first: dict[str, list[int]] = {}
+        for idx, rule in enumerate(self.rules):
+            by_first.setdefault(rule.rhs[0].name, []).append(idx)
+        return CompiledGrammar({name: tuple(ids) for name, ids in by_first.items()})
 
     def lhs_names(self) -> set[str]:
         return {rule.lhs.name for rule in self.rules}
@@ -224,8 +253,25 @@ class ResourceBundle:
         if self.gf_mode not in GF_MODES:
             raise ValueError(f"unknown grammatical-function mode {self.gf_mode!r}")
 
-    def sem_lexicon_index(self) -> dict[tuple[str, str], SemLexEntry]:
-        return {(e.lemma, e.pos): e for e in self.sem_lexicon}
+    # Lookup indexes, built on first use and shared by every later
+    # sentence; loading and validation never build them.
+
+    @cached_property
+    def sem_lexicon_index(self) -> Mapping[tuple[str, str], SemLexEntry]:
+        """Semantic lexicon entries by (lemma, parser tag)."""
+        return MappingProxyType({(e.lemma, e.pos): e for e in self.sem_lexicon})
+
+    @cached_property
+    def frames_by_lemma(self) -> Mapping[str, tuple[CaseFrame, ...]]:
+        """Case frames by predicate lemma, in bundle order."""
+        by_lemma: dict[str, list[CaseFrame]] = {}
+        for frame in self.frames:
+            by_lemma.setdefault(frame.predicate_lemma, []).append(frame)
+        return MappingProxyType({lemma: tuple(fs) for lemma, fs in by_lemma.items()})
+
+    @cached_property
+    def frames_by_id(self) -> Mapping[str, CaseFrame]:
+        return MappingProxyType({frame.id: frame for frame in self.frames})
 
 
 # ---------------------------------------------------------------------------

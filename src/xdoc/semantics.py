@@ -79,7 +79,7 @@ def semantic_tag(
     first stem with a lexicon entry wins.  Tokens without a match are
     returned unchanged.
     """
-    index = bundle.sem_lexicon_index()
+    index = bundle.sem_lexicon_index
     out: list[TaggedToken] = []
     for t in tagged:
         assert t.parser_tag is not None, "semantic tagging requires mapped tokens"
@@ -186,9 +186,7 @@ def instantiate_frames(
     """
     instances: list[FrameInstance] = []
     diagnostics: list[Diagnostic] = []
-    by_lemma: dict[str, list] = {}
-    for frame in bundle.frames:
-        by_lemma.setdefault(frame.predicate_lemma, []).append(frame)
+    by_lemma = bundle.frames_by_lemma
     if not by_lemma:
         return instances, diagnostics
 

@@ -137,8 +137,15 @@ def split_sentences(
 
 
 def paragraph_breaks(text: str) -> list[int]:
-    """Byte offsets at which a blank-line gap starts."""
-    return [_blen(text[: m.start()]) for m in _PARAGRAPH.finditer(text)]
+    """Byte offsets at which a blank-line gap starts, ascending."""
+    breaks: list[int] = []
+    char_pos = 0
+    byte_pos = 0
+    for match in _PARAGRAPH.finditer(text):
+        byte_pos += _blen(text[char_pos : match.start()])
+        char_pos = match.start()
+        breaks.append(byte_pos)
+    return breaks
 
 
 def segment(text: str, abbreviations: Iterable[str] = ()) -> tuple[list[Token], list[Sentence]]:
@@ -154,13 +161,19 @@ def segment(text: str, abbreviations: Iterable[str] = ()) -> tuple[list[Token], 
     if not breaks:
         return tokens, sentences
 
+    # Tokens and breaks both ascend, so one pointer walks the breaks: it
+    # stops at the first break at or after the previous token's end, and
+    # a gap holds a break iff that break lies before the next token.
     resplit: list[Sentence] = []
+    b = 0
     for sentence in sentences:
         current: list[Token] = []
         for token in sentence.tokens:
             if current:
                 prev_end = current[-1].offset + current[-1].length
-                if any(prev_end <= b < token.offset for b in breaks):
+                while b < len(breaks) and breaks[b] < prev_end:
+                    b += 1
+                if b < len(breaks) and breaks[b] < token.offset:
                     resplit.append(Sentence(len(resplit), tuple(current)))
                     current = []
             current.append(token)

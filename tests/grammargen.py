@@ -10,6 +10,8 @@ Rule = tuple[str, tuple[str, ...]]
 
 NONTERMINALS = ["S", "A", "B"]
 TERMINAL_POOL = ["x", "y", "z"]
+FEATURE_KEYS = ["f", "g"]
+FEATURE_VALUES = ["a", "b"]
 
 
 def random_case(rng: random.Random) -> tuple[list[Rule], list[str]]:
@@ -26,11 +28,34 @@ def random_case(rng: random.Random) -> tuple[list[Rule], list[str]]:
     return rules, tags
 
 
-def to_grammar(rules: list[Rule]) -> Grammar:
+def random_features(rng: random.Random) -> dict[str, str]:
+    """Often none; otherwise one or two keys, each with a random value."""
+    if rng.random() < 0.5:
+        return {}
+    keys = rng.sample(FEATURE_KEYS, rng.randint(1, len(FEATURE_KEYS)))
+    return {key: rng.choice(FEATURE_VALUES) for key in keys}
+
+
+def to_grammar(rules: list[Rule], rng: random.Random | None = None) -> Grammar:
+    """Plain categories with head 1, or, given ``rng``, optional features
+    on every category and a random head per rule, so that feature
+    matching and head-feature propagation both take part."""
+
+    def cat(name: str) -> Category:
+        return Category(name, random_features(rng) if rng else {})
+
     return Grammar(
         rules[0][0],
         tuple(
-            GrammarRule(Category(lhs), tuple(Category(name) for name in rhs), 1)
+            GrammarRule(
+                cat(lhs),
+                tuple(cat(name) for name in rhs),
+                rng.randint(1, len(rhs)) if rng else 1,
+            )
             for lhs, rhs in rules
         ),
     )
+
+
+def feature_tags(tags: list[str], rng: random.Random) -> list[tuple[str, dict[str, str]]]:
+    return [(tag, random_features(rng)) for tag in tags]

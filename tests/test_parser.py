@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyk_oracle import brute_force_spans, count_bracketings
-from grammargen import random_case, to_grammar
+from grammargen import TERMINAL_POOL, feature_tags, random_case, to_grammar
 from xdoc.errors import EmptyInput, TooAmbiguous
 from xdoc.parsing import (
+    _parent_category,
     chunks,
     complete_parses,
     features_match,
@@ -248,3 +249,78 @@ def test_packed_chart_stays_small_under_massive_ambiguity():
     assert len(chart.nodes) < 40 * 40 * 2
     with pytest.raises(TooAmbiguous):
         complete_parses(chart, "NP")
+
+
+# The compiled grammar tables. Every parse with a grammar object shares
+# its memo tables, so a warm parse must build exactly the chart a parse
+# with a fresh, equal grammar object (empty tables) builds.
+
+
+def cold(grammar: Grammar) -> Grammar:
+    return Grammar(grammar.start_symbol, grammar.rules)
+
+
+def node_list(chart):
+    return [(n.category, n.start, n.end, list(n.derivations)) for n in chart.nodes]
+
+
+def assert_derivations_recheck(chart):
+    rules = chart.grammar.rules
+    for node in chart.nodes:
+        for rule_idx, children in node.derivations:
+            if rule_idx is None:
+                assert children == () and node.end == node.start + 1
+                continue
+            rule = rules[rule_idx]
+            kids = [chart.node(c) for c in children]
+            assert len(kids) == len(rule.rhs)
+            assert [k.start for k in kids] == [node.start] + [k.end for k in kids[:-1]]
+            assert kids[-1].end == node.end
+            assert all(features_match(need, kid.category) for need, kid in zip(rule.rhs, kids))
+            assert node.category == _parent_category(rule.lhs, kids[rule.head - 1].category)
+
+
+def test_compiled_tables_are_per_grammar_object(de_core):
+    base = de_core.grammar
+    acc = next(
+        i for i, r in enumerate(base.rules) if r.lhs.feature("case") == "acc"
+    )
+    changed = base.rules[acc]
+    variant = Grammar(
+        base.start_symbol,
+        base.rules[:acc]
+        + (GrammarRule(Category("NP", {"case": "gen"}), changed.rhs, changed.head),)
+        + base.rules[acc + 1 :],
+    )
+    inputs = [
+        ["DETN", "N", "V", "DETA", "N", "DETG", "N"],
+        ["DETA", "N", "V", "DETN", "N", "DETG", "N", "DETG", "N"],
+        ["DETA", "N", "DETG", "N", "DETA", "N", "DETG", "N"],
+        ["DETG", "N"] * 5,
+    ]
+    differs = False
+    for tags in inputs * 2:  # the second round runs on warm tables
+        charts = []
+        for grammar in (base, variant):
+            chart = parse(tags, grammar)
+            assert node_list(chart) == node_list(parse(tags, cold(grammar))), tags
+            assert_derivations_recheck(chart)
+            charts.append(node_list(chart))
+        differs |= charts[0] != charts[1]
+    assert differs  # the variant's one case value changes some chart
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_warm_tables_build_the_cold_chart_with_features(seed):
+    rng = random.Random(seed)
+    rules, _ = random_case(rng)
+    grammar = to_grammar(rules, rng)
+    inputs = [
+        feature_tags([rng.choice(TERMINAL_POOL) for _ in range(rng.randint(1, 6))], rng)
+        for _ in range(4)
+    ]
+    for tags in inputs * 2:
+        chart = parse(tags, grammar)
+        assert node_list(chart) == node_list(parse(tags, cold(grammar)))
+        assert_derivations_recheck(chart)

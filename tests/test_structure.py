@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -139,3 +141,41 @@ def test_removing_abbreviation_never_merges_sentences(text, abbrevs):
         full = split_sentences(tokenize(text, abbrevs), abbrevs)
         reduced = split_sentences(tokenize(text, smaller), smaller)
         assert len(reduced) >= len(full)
+
+
+def _reference_segment(text, abbrevs):
+    """Naive segment: re-encode the prefix per break, test every break per token."""
+    tokens = tokenize(text, abbrevs)
+    sentences = split_sentences(tokens, abbrevs)
+    breaks = [len(text[: m.start()].encode("utf-8")) for m in re.finditer(r"\n[ \t\r]*\n", text)]
+    resplit = []
+    for sentence in sentences:
+        current = []
+        for token in sentence.tokens:
+            if current:
+                prev_end = current[-1].offset + current[-1].length
+                if any(prev_end <= b < token.offset for b in breaks):
+                    resplit.append(Sentence(len(resplit), tuple(current)))
+                    current = []
+            current.append(token)
+        if current:
+            resplit.append(Sentence(len(resplit), tuple(current)))
+    return tokens, resplit, breaks
+
+
+# Words with one- to four-byte UTF-8 characters, joined by gaps that are
+# often blank lines, so break offsets and token offsets diverge from
+# character offsets.
+multibyte_words = st.text(alphabet=st.sampled_from(list("aZ.3-äß€𝔸")), min_size=1, max_size=6)
+gaps = st.sampled_from([" ", "\n", "\n\n", "\n \t\n", "\n\r\n\n", " \n\n\n ", "\t"])
+paragraph_texts = st.lists(st.tuples(multibyte_words, gaps), max_size=25).map(
+    lambda pairs: "".join(word + gap for word, gap in pairs)
+)
+
+
+@given(paragraph_texts, abbrev_sets)
+@settings(max_examples=300)
+def test_segment_matches_naive_reference(text, abbrevs):
+    tokens, sentences, breaks = _reference_segment(text, abbrevs)
+    assert paragraph_breaks(text) == breaks
+    assert segment(text, abbrevs) == (tokens, sentences)
