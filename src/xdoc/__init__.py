@@ -6,96 +6,35 @@ is language independent; everything a language needs is data in one XML
 bundle.  Analyzing a new language means writing a bundle, not code.
 """
 
-from .errors import (
-    AnalysisError,
-    CyclicOntology,
-    EmptyInput,
-    InputError,
-    MalformedLine,
-    MalformedResource,
-    ResourceError,
-    TooAmbiguous,
-    UnknownConcept,
-    UnmappedTag,
-    XdocError,
-)
-from .parsing import Chart, ParseTree, chunks, complete_parses, parse, render_bracketed
+from .errors import AnalysisError, InputError, ResourceError, XdocError
+from .parsing import chunks, complete_parses, parse
 from .pipeline import (
     STAGES,
     AnnotatedDocument,
-    PipelineConfig,
     analyze_text,
     emit_xml,
     export_relations,
     run_pipeline,
 )
-from .resources import (
-    CaseFrame,
-    Category,
-    ContextRule,
-    Finding,
-    Grammar,
-    GrammarRule,
-    LemmaRule,
-    Ontology,
-    PatternItem,
-    ResourceBundle,
-    SemLexEntry,
-    StructPattern,
-    load_bundle,
-    loads_bundle,
-    serialize_bundle,
-    validate_bundle,
-)
+from .resources import load_bundle, serialize_bundle, validate_bundle
 from .semantics import (
-    Diagnostic,
-    FrameInstance,
-    Relation,
     grammatical_functions,
     instantiate_frames,
     map_np_structure,
     semantic_tag,
     subsumes,
 )
-from .structure import Sentence, Token, segment, split_sentences, tokenize
-from .tagging import TaggedToken, apply_rules, import_external_tags, initial_tag, map_tagset
+from .structure import split_sentences, tokenize
+from .tagging import apply_rules, initial_tag, map_tagset
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisError",
     "AnnotatedDocument",
-    "CaseFrame",
-    "Category",
-    "Chart",
-    "ContextRule",
-    "CyclicOntology",
-    "Diagnostic",
-    "EmptyInput",
-    "Finding",
-    "FrameInstance",
-    "Grammar",
-    "GrammarRule",
     "InputError",
-    "LemmaRule",
-    "MalformedLine",
-    "MalformedResource",
-    "Ontology",
-    "ParseTree",
-    "PatternItem",
-    "PipelineConfig",
-    "Relation",
-    "ResourceBundle",
     "ResourceError",
     "STAGES",
-    "SemLexEntry",
-    "Sentence",
-    "StructPattern",
-    "TaggedToken",
-    "Token",
-    "TooAmbiguous",
-    "UnknownConcept",
-    "UnmappedTag",
     "XdocError",
     "analyze_text",
     "apply_rules",
@@ -104,17 +43,13 @@ __all__ = [
     "emit_xml",
     "export_relations",
     "grammatical_functions",
-    "import_external_tags",
     "initial_tag",
     "instantiate_frames",
     "load_bundle",
-    "loads_bundle",
     "map_np_structure",
     "map_tagset",
     "parse",
-    "render_bracketed",
     "run_pipeline",
-    "segment",
     "semantic_tag",
     "serialize_bundle",
     "split_sentences",

@@ -13,7 +13,14 @@ from pathlib import Path
 
 from .errors import AnalysisError, InputError, ResourceError
 from .parsing import complete_parses, parse, render_bracketed
-from .pipeline import STAGES, PipelineConfig, emit_xml, export_relations, run_pipeline
+from .pipeline import (
+    STAGES,
+    _load_validated,
+    check_stages,
+    emit_xml,
+    export_relations,
+    run_pipeline,
+)
 from .resources import load_bundle, validate_bundle
 
 EXIT_OK = 0
@@ -51,27 +58,21 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _stage_prefix(option: str | None) -> tuple[str, ...]:
-    if option is None:
-        return STAGES
-    stages = tuple(part.strip() for part in option.split(",") if part.strip())
-    unknown = [s for s in stages if s not in STAGES]
-    if unknown:
-        raise InputError(f"unknown stages: {', '.join(unknown)}")
-    if stages != STAGES[: len(stages)]:
-        raise InputError(f"stages must be a prefix of {','.join(STAGES)}")
-    return stages
-
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    config = PipelineConfig(
-        bundle_path=args.bundle,
-        stages=_stage_prefix(args.stages),
-        lenient=args.lenient,
+    stages = STAGES
+    if args.stages is not None:
+        try:
+            stages = check_stages(p.strip() for p in args.stages.split(",") if p.strip())
+        except ValueError as exc:
+            raise InputError(str(exc)) from None
+    text = None if args.external_tags is not None else _read_text(args.input)
+    doc = run_pipeline(
+        args.bundle,
+        text,
         external_tags=args.external_tags,
+        stages=stages,
+        lenient=args.lenient,
     )
-    text = "" if args.external_tags is not None else _read_text(args.input)
-    doc = run_pipeline(config, text)
     _write_text(args.output, emit_xml(doc))
     if args.relations_tsv is not None:
         _write_text(args.relations_tsv, export_relations(doc))
@@ -79,12 +80,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_tag(args: argparse.Namespace) -> int:
-    config = PipelineConfig(
-        bundle_path=args.bundle,
-        stages=STAGES[:4],  # tok, sent, tag, map
-        lenient=True,
-    )
-    doc = run_pipeline(config, _read_text(args.input))
+    stages = STAGES[:4]  # tok, sent, tag, map
+    doc = run_pipeline(args.bundle, _read_text(args.input), stages=stages, lenient=True)
     blocks = []
     for analysis in doc.sentences:
         mapped = {t.token.id: t for t in analysis.parse_input or ()}
@@ -102,12 +99,7 @@ def _cmd_tag(args: argparse.Namespace) -> int:
 
 
 def _cmd_parse(args: argparse.Namespace) -> int:
-    bundle = load_bundle(args.bundle)
-    findings = [f for f in validate_bundle(bundle) if f.severity == "error"]
-    if findings:
-        raise ResourceError(
-            f"bundle {args.bundle} failed validation: {findings[0].code} at {findings[0].location}"
-        )
+    bundle = _load_validated(args.bundle)
     tags = args.tags.split()
     if not tags:
         raise InputError("no tags given")

@@ -137,10 +137,6 @@ class Chart:
     def passives_from(self, start: int) -> list[_Node]:
         return [self.nodes[i] for i in self._by_start.get(start, ())]
 
-    def spans(self) -> set[tuple[str, int, int]]:
-        """The (category name, start, end) set of all passive edges."""
-        return {(n.category.name, n.start, n.end) for n in self.nodes}
-
     def _add(self, category: Category, start: int, end: int, deriv: Derivation) -> _Node | None:
         """Pack a derivation; returns the node only when newly created."""
         key = (category, start, end)

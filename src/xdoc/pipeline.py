@@ -1,10 +1,12 @@
 """Stage orchestration over one document, plus output formats.
 
 Stages run in a fixed order: tok, sent, tag, map, parse, sem, frames,
-rel.  A configuration selects a prefix of that order.  When an external
-tag file is supplied the first three stages are replaced by the import
-adapter.  Strict runs abort on the first analysis error; lenient runs
-record a diagnostic on the failing sentence and continue with the rest.
+rel.  A run selects a prefix of that order.  Sentences reach the stage
+loop from one of two segmenters: the tokenizer and sentence splitter
+for raw text, or the import adapter for an external tag file, whose
+sentences arrive already tagged and so skip tok, sent and tag.  Strict
+runs abort on the first analysis error; lenient runs record a
+diagnostic on the failing sentence and continue with the rest.
 
 Pure punctuation tokens are tagged like everything else but excluded
 from mapping, parsing and semantics: tagset maps cover word classes,
@@ -18,11 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import ResourceError, TooAmbiguous, UnmappedTag
 from .parsing import ParseTree, chunks, complete_parses, parse
-from .resources import ResourceBundle, load_bundle, validate_bundle
+from .resources import ResourceBundle, _attrs, load_bundle, validate_bundle
 from .semantics import (
     Diagnostic,
     FrameInstance,
@@ -36,9 +38,9 @@ from .tagging import TaggedToken, apply_rules, import_external_tags, initial_tag
 
 __all__ = [
     "STAGES",
-    "PipelineConfig",
     "SentenceAnalysis",
     "AnnotatedDocument",
+    "check_stages",
     "run_pipeline",
     "analyze_text",
     "emit_xml",
@@ -48,24 +50,15 @@ __all__ = [
 STAGES = ("tok", "sent", "tag", "map", "parse", "sem", "frames", "rel")
 
 
-def _check_stage_prefix(stages: tuple[str, ...]) -> tuple[str, ...]:
+def check_stages(stages: Iterable[str]) -> tuple[str, ...]:
+    """Return the stages as a tuple; ValueError unless a non-empty prefix of STAGES."""
     stages = tuple(stages)
+    unknown = [s for s in stages if s not in STAGES]
+    if unknown:
+        raise ValueError(f"unknown stages: {', '.join(unknown)}")
     if not stages or stages != STAGES[: len(stages)]:
-        raise ValueError(
-            f"stages must be a non-empty prefix of {'/'.join(STAGES)}, got {stages!r}"
-        )
+        raise ValueError(f"stages must be a non-empty prefix of {','.join(STAGES)}")
     return stages
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    bundle_path: str | Path
-    stages: tuple[str, ...] = STAGES
-    lenient: bool = False
-    external_tags: str | Path | None = None
-
-    def __post_init__(self) -> None:
-        _check_stage_prefix(self.stages)
 
 
 @dataclass
@@ -84,9 +77,6 @@ class SentenceAnalysis:
 @dataclass
 class AnnotatedDocument:
     lang: str
-    source: str
-    stages: tuple[str, ...]
-    text: str
     tokens: tuple[Token, ...] = ()
     sentences: list[SentenceAnalysis] = field(default_factory=list)
 
@@ -176,86 +166,68 @@ def _analyze_sentence(
         analysis.relations = tuple(relations)
 
 
+def _run_stages(
+    bundle: ResourceBundle,
+    tokens: Sequence[Token],
+    sentences: list[SentenceAnalysis],
+    stages: tuple[str, ...],
+    lenient: bool,
+) -> AnnotatedDocument:
+    """The stage loop: run the per-sentence stages over segmented sentences."""
+    for analysis in sentences:
+        _analyze_sentence(analysis, bundle, stages, lenient)
+    return AnnotatedDocument(bundle.lang, tuple(tokens), sentences)
+
+
 def analyze_text(
     bundle: ResourceBundle,
     text: str,
     *,
-    stages: tuple[str, ...] = STAGES,
+    stages: Iterable[str] = STAGES,
     lenient: bool = False,
-    source: str = "-",
 ) -> AnnotatedDocument:
     """Run the stage prefix over raw text with an already loaded bundle."""
-    stages = _check_stage_prefix(tuple(stages))  # every prefix starts with tok
-    doc = AnnotatedDocument(bundle.lang, source, stages, text)
+    stages = check_stages(stages)  # every prefix starts with tok
     tokens, sentences = segment(text, bundle.abbreviations)
-    doc.tokens = tuple(tokens)
-    if "sent" not in stages:
-        return doc
-    doc.sentences = [SentenceAnalysis(s) for s in sentences]
-    for analysis in doc.sentences:
-        _analyze_sentence(analysis, bundle, stages, lenient)
-    return doc
+    analyses = [SentenceAnalysis(s) for s in sentences] if "sent" in stages else []
+    return _run_stages(bundle, tokens, analyses, stages, lenient)
 
 
-def _analyze_imported(
-    bundle: ResourceBundle,
-    imported: list[list[TaggedToken]],
+def run_pipeline(
+    bundle_path: str | Path,
+    text: str | None = None,
     *,
-    stages: tuple[str, ...],
-    lenient: bool,
-    source: str,
+    external_tags: str | Path | None = None,
+    stages: Iterable[str] = STAGES,
+    lenient: bool = False,
 ) -> AnnotatedDocument:
-    tokens = tuple(t.token for sent in imported for t in sent)
-    text = " ".join(t.form for t in tokens)
-    doc = AnnotatedDocument(bundle.lang, source, tuple(stages), text, tokens)
-    doc.sentences = [
-        SentenceAnalysis(
-            Sentence(i, tuple(t.token for t in sent)), tagged=tuple(sent)
-        )
+    """Load and validate the bundle, then run the stage prefix over one input.
+
+    The input is either raw ``text`` or an ``external_tags`` file of
+    ``form<TAB>tag`` lines, never both.  Raises :class:`ValueError` for
+    a bad stage list or input choice, :class:`ResourceError` when the
+    bundle is invalid, :class:`InputError` for an unreadable tag file,
+    and, in strict mode, :class:`AnalysisError` subclasses for
+    per-sentence failures.
+    """
+    stages = check_stages(stages)
+    if (text is None) == (external_tags is None):
+        raise ValueError("run_pipeline takes exactly one of text and external_tags")
+    bundle = _load_validated(bundle_path)
+    if text is not None:
+        return analyze_text(bundle, text, stages=stages, lenient=lenient)
+    # Imported sentences arrive tokenized, split and tagged whatever the prefix.
+    imported = import_external_tags(external_tags)
+    analyses = [
+        SentenceAnalysis(Sentence(i, tuple(t.token for t in sent)), tagged=tuple(sent))
         for i, sent in enumerate(imported)
     ]
-    for analysis in doc.sentences:
-        _analyze_sentence(analysis, bundle, tuple(stages), lenient)
-    return doc
-
-
-def run_pipeline(config: PipelineConfig, text: str) -> AnnotatedDocument:
-    """Load and validate the bundle, then run the configured stage prefix.
-
-    Raises :class:`ResourceError` when the bundle is invalid,
-    :class:`InputError` for undecodable input, and, in strict mode,
-    :class:`AnalysisError` subclasses for per-sentence failures.
-    """
-    bundle = _load_validated(config.bundle_path)
-    if config.external_tags is not None:
-        imported = import_external_tags(config.external_tags)
-        return _analyze_imported(
-            bundle,
-            imported,
-            stages=config.stages,
-            lenient=config.lenient,
-            source=str(config.external_tags),
-        )
-    return analyze_text(
-        bundle,
-        text,
-        stages=config.stages,
-        lenient=config.lenient,
-    )
+    tokens = [t for a in analyses for t in a.sentence.tokens]
+    return _run_stages(bundle, tokens, analyses, stages, lenient)
 
 
 # ---------------------------------------------------------------------------
 # Output formats
-
-
-def _esc(value: str) -> str:
-    value = (
-        value.replace("&", "&amp;")
-        .replace("<", "&lt;")
-        .replace(">", "&gt;")
-        .replace('"', "&quot;")
-    )
-    return value.replace("\t", "&#9;").replace("\n", "&#10;").replace("\r", "&#13;")
 
 
 def _sid(analysis_index: int) -> str:
@@ -277,13 +249,11 @@ def _token_line(token: Token, annotated: TaggedToken | None, indent: str) -> str
             attrs.append(("sem", annotated.semclass))
         if annotated.concept is not None:
             attrs.append(("concept", annotated.concept))
-    rendered = "".join(f' {k}="{_esc(v)}"' for k, v in attrs)
-    return f"{indent}<t{rendered}/>"
+    return f"{indent}<t{_attrs(attrs)}/>"
 
 
 def _tree_xml(tree: ParseTree, parse_input: Sequence[TaggedToken], indent: str) -> list[str]:
-    attrs = [("cat", tree.category.name), *tree.category.features]
-    rendered = "".join(f' {k}="{_esc(v)}"' for k, v in attrs)
+    rendered = _attrs([("cat", tree.category.name), *tree.category.features])
     if tree.is_leaf:
         token_id = parse_input[tree.start].token.id
         return [f'{indent}<node{rendered} ref="{token_id}"/>']
@@ -297,8 +267,8 @@ def _tree_xml(tree: ParseTree, parse_input: Sequence[TaggedToken], indent: str) 
 def emit_xml(doc: AnnotatedDocument) -> str:
     """Render the annotated document as deterministic XML."""
     if not doc.sentences:
-        return f'<document lang="{_esc(doc.lang)}"/>\n'
-    lines = [f'<document lang="{_esc(doc.lang)}">']
+        return f"<document{_attrs([('lang', doc.lang)])}/>\n"
+    lines = [f"<document{_attrs([('lang', doc.lang)])}>"]
     for index, analysis in enumerate(doc.sentences):
         lines.append(f'  <sentence id="{_sid(index)}">')
         annotations = (
@@ -318,13 +288,13 @@ def emit_xml(doc: AnnotatedDocument) -> str:
             for relation in analysis.relations:
                 instance = frame_bindings.get(relation.source)
                 if instance is not None and instance.relation == relation.name:
-                    lines.append(
-                        f'      <rel type="{_esc(relation.name)}" pred="{instance.predicate}">'
-                    )
+                    pairs = [("type", relation.name), ("pred", str(instance.predicate))]
+                    lines.append(f"      <rel{_attrs(pairs)}>")
                     for role, (token_id, _) in sorted(instance.bindings.items()):
-                        lines.append(f'        <arg role="{_esc(role)}" ref="{token_id}"/>')
+                        pairs = [("role", role), ("ref", str(token_id))]
+                        lines.append(f"        <arg{_attrs(pairs)}/>")
                 else:
-                    lines.append(f'      <rel type="{_esc(relation.name)}">')
+                    lines.append(f"      <rel{_attrs([('type', relation.name)])}>")
                     lines.append(f'        <arg role="arg1" ref="{relation.arg1}"/>')
                     lines.append(f'        <arg role="arg2" ref="{relation.arg2}"/>')
                 lines.append("      </rel>")
@@ -332,9 +302,8 @@ def emit_xml(doc: AnnotatedDocument) -> str:
         if analysis.diagnostics:
             lines.append("    <diagnostics>")
             for diag in analysis.diagnostics:
-                lines.append(
-                    f'      <diag code="{_esc(diag.code)}" detail="{_esc(diag.detail)}"/>'
-                )
+                pairs = [("code", diag.code), ("detail", diag.detail)]
+                lines.append(f"      <diag{_attrs(pairs)}/>")
             lines.append("    </diagnostics>")
         lines.append("  </sentence>")
     lines.append("</document>")

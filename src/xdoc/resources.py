@@ -18,7 +18,7 @@ indentation, so output bytes are stable across runs.
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
@@ -82,9 +82,6 @@ class Category:
             if k == key:
                 return v
         return None
-
-    def features_dict(self) -> dict[str, str]:
-        return dict(self.features)
 
     def label(self) -> str:
         """Render for debug output, e.g. ``NP[case=nom]``."""
@@ -961,8 +958,3 @@ def serialize_bundle(bundle: ResourceBundle) -> str:
     else:
         lines.append(f'<resources{_attrs([("lang", bundle.lang)])}/>')
     return "\n".join(lines) + "\n"
-
-
-def with_changes(bundle: ResourceBundle, **changes: object) -> ResourceBundle:
-    """Functional update helper for tests and tools."""
-    return replace(bundle, **changes)  # type: ignore[arg-type]

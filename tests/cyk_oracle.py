@@ -75,6 +75,11 @@ def brute_force_spans(rules: Sequence[Rule], tags: Sequence[str]) -> set[tuple[s
     }
 
 
+def chart_spans(chart) -> set[tuple[str, int, int]]:
+    """The parser chart's passive edges as (category name, start, end) facts."""
+    return {(n.category.name, n.start, n.end) for n in chart.nodes}
+
+
 def count_bracketings(leaves: int) -> int:
     """Number of binary bracketings of a string of the given length."""
     counts = {1: 1}

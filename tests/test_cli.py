@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import pytest
+
 from xdoc.cli import main
 
 ASPIRIN = "Aspirin inhibits cyclooxygenase .\n"
@@ -64,6 +66,22 @@ def test_analyze_invalid_stage_list_exits_two(en_bio_path, tmp_path, capsys):
         ["analyze", "--bundle", en_bio_path, "--input", str(text), "--stages", "tok,parse"]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("stages", ["", ",", "tok,parse", "bogus"])
+def test_analyze_bad_stage_list_is_input_error(en_bio_path, tmp_path, capsys, stages):
+    text = tmp_path / "doc.txt"
+    text.write_text(ASPIRIN, encoding="utf-8")
+    code = main(["analyze", "--bundle", en_bio_path, "--input", str(text), "--stages", stages])
+    assert code == 2
+    assert "input error" in capsys.readouterr().err
+
+
+def test_analyze_bad_stage_list_is_checked_before_bundle(tmp_path, capsys):
+    missing = str(tmp_path / "no-such-bundle.xml")
+    code = main(["analyze", "--bundle", missing, "--input", "-", "--stages", "tok,parse"])
+    assert code == 2
+    assert "input error" in capsys.readouterr().err
 
 
 def test_analyze_stage_prefix_limits_output(en_bio_path, tmp_path):

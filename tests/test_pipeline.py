@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import re
 import xml.etree.ElementTree as ET
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from xdoc.errors import ResourceError, UnmappedTag
 from xdoc.pipeline import (
     STAGES,
-    PipelineConfig,
     analyze_text,
+    check_stages,
     emit_xml,
     export_relations,
     run_pipeline,
@@ -18,18 +21,18 @@ ASPIRIN = "Aspirin inhibits cyclooxygenase ."
 GERMAN_OVS = "Den Katalysator hemmt der Wirkstoff ."
 
 
-def test_config_requires_stage_prefix():
-    PipelineConfig("x", ("tok", "sent"))
+def test_stage_check_requires_prefix():
+    assert check_stages(["tok", "sent"]) == ("tok", "sent")
     with pytest.raises(ValueError):
-        PipelineConfig("x", ("tok", "tag"))
+        check_stages(("tok", "tag"))
     with pytest.raises(ValueError):
-        PipelineConfig("x", ())
+        check_stages(())
     with pytest.raises(ValueError):
-        PipelineConfig("x", ("sent",))
+        check_stages(("sent",))
 
 
 def test_full_run_extracts_inhibition_relation(en_bio_path):
-    doc = run_pipeline(PipelineConfig(en_bio_path), ASPIRIN)
+    doc = run_pipeline(en_bio_path, ASPIRIN)
     assert len(doc.sentences) == 1
     analysis = doc.sentences[0]
     assert analysis.tree is not None
@@ -41,7 +44,7 @@ def test_full_run_extracts_inhibition_relation(en_bio_path):
 
 
 def test_prefix_run_stops_after_sentences(en_bio_path):
-    doc = run_pipeline(PipelineConfig(en_bio_path, ("tok", "sent")), ASPIRIN)
+    doc = run_pipeline(en_bio_path, ASPIRIN, stages=("tok", "sent"))
     analysis = doc.sentences[0]
     assert analysis.tagged is None
     assert analysis.tree is None
@@ -86,6 +89,15 @@ def test_sentence_without_parse_falls_back_to_chunks(en_bio):
     assert not analysis.failed
 
 
+def test_run_pipeline_takes_exactly_one_input(en_bio_path, tmp_path):
+    tags = tmp_path / "tags.tsv"
+    tags.write_text("Aspirin\tNNP\n", encoding="utf-8")
+    with pytest.raises(ValueError):
+        run_pipeline(en_bio_path)
+    with pytest.raises(ValueError):
+        run_pipeline(en_bio_path, ASPIRIN, external_tags=tags)
+
+
 def test_invalid_bundle_is_refused(tmp_path):
     bad = tmp_path / "bad.xml"
     bad.write_text(
@@ -96,7 +108,7 @@ def test_invalid_bundle_is_refused(tmp_path):
         encoding="utf-8",
     )
     with pytest.raises(ResourceError):
-        run_pipeline(PipelineConfig(bad), "hello")
+        run_pipeline(bad, "hello")
 
 
 def external_tags_file(tmp_path, content):
@@ -109,7 +121,7 @@ def test_external_tags_replace_early_stages(en_bio_path, tmp_path):
     tags = external_tags_file(
         tmp_path, "Aspirin\tNNP\ninhibits\tVBZ\ncyclooxygenase\tNN\n"
     )
-    doc = run_pipeline(PipelineConfig(en_bio_path, external_tags=tags), "")
+    doc = run_pipeline(en_bio_path, external_tags=tags)
     analysis = doc.sentences[0]
     assert analysis.tagged[0].source_tag == "NNP"
     assert [r.name for r in analysis.relations] == ["inhibits"]
@@ -120,9 +132,7 @@ def test_lenient_mode_quarantines_failing_sentence(en_bio_path, tmp_path):
         tmp_path,
         "Foo\tFW\n.\t.\n\nAspirin\tNNP\ninhibits\tVBZ\ncyclooxygenase\tNN\n",
     )
-    doc = run_pipeline(
-        PipelineConfig(en_bio_path, lenient=True, external_tags=tags), ""
-    )
+    doc = run_pipeline(en_bio_path, external_tags=tags, lenient=True)
     first, second = doc.sentences
     assert first.failed
     assert [d.code for d in first.diagnostics] == ["UnmappedTag"]
@@ -134,7 +144,7 @@ def test_lenient_mode_quarantines_failing_sentence(en_bio_path, tmp_path):
 def test_strict_mode_raises_on_unmappable_tag(en_bio_path, tmp_path):
     tags = external_tags_file(tmp_path, "Foo\tFW\n")
     with pytest.raises(UnmappedTag):
-        run_pipeline(PipelineConfig(en_bio_path, external_tags=tags), "")
+        run_pipeline(en_bio_path, external_tags=tags)
 
 
 def test_strict_success_implies_lenient_has_no_failures(en_bio):
@@ -201,7 +211,7 @@ def test_emit_xml_omits_absent_annotations(en_bio):
 def test_emit_xml_reports_diagnostics(en_bio_path, tmp_path):
     tags = tmp_path / "tags.tsv"
     tags.write_text("Foo\tFW\n", encoding="utf-8")
-    doc = run_pipeline(PipelineConfig(en_bio_path, lenient=True, external_tags=tags), "")
+    doc = run_pipeline(en_bio_path, external_tags=tags, lenient=True)
     root = ET.fromstring(emit_xml(doc))
     diag = root.find("./sentence/diagnostics/diag")
     assert diag is not None
@@ -287,12 +297,12 @@ def test_overambiguous_sentence_aborts_in_strict_mode(tmp_path):
 
     path = ambiguous_bundle_path(tmp_path)
     with pytest.raises(TooAmbiguous):
-        run_pipeline(PipelineConfig(path), "a b c d e f g h i")
+        run_pipeline(path, "a b c d e f g h i")
 
 
 def test_overambiguous_sentence_degrades_to_chunks_when_lenient(tmp_path):
     path = ambiguous_bundle_path(tmp_path)
-    doc = run_pipeline(PipelineConfig(path, lenient=True), "a b c d e f g h i")
+    doc = run_pipeline(path, "a b c d e f g h i", lenient=True)
     analysis = doc.sentences[0]
     assert [d.code for d in analysis.diagnostics] == ["TooAmbiguous"]
     assert analysis.tree is None
@@ -301,13 +311,22 @@ def test_overambiguous_sentence_degrades_to_chunks_when_lenient(tmp_path):
 
 
 def test_single_slot_frame_produces_no_binary_relation(en_bio):
-    from xdoc.resources import CaseFrame, FrameSlot, with_changes
+    from xdoc.resources import CaseFrame, FrameSlot
 
     frame = CaseFrame(
         "solo", "inhibit", "inhibits", (FrameSlot("agent", "subject", "substance", True),)
     )
-    bundle = with_changes(en_bio, frames=(frame,))
+    bundle = replace(en_bio, frames=(frame,))
     doc = analyze_text(bundle, ASPIRIN)
     analysis = doc.sentences[0]
     assert len(analysis.frames) == 1  # the instance itself is kept
     assert analysis.relations == ()  # but there is no argument pair to export
+
+
+def test_exported_names_are_the_documented_ones():
+    import xdoc
+
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Python API", 1)[1].split("\n## ", 1)[0]
+    documented = {n for n in re.findall(r"`(\w+)", section) if hasattr(xdoc, n)}
+    assert documented == set(xdoc.__all__)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import pytest
 
@@ -16,7 +17,6 @@ from xdoc.resources import (
     loads_bundle,
     serialize_bundle,
     validate_bundle,
-    with_changes,
 )
 
 
@@ -212,7 +212,7 @@ def test_serialize_empty_bundle():
 
 
 def test_serialize_escapes_attribute_values():
-    bundle = with_changes(
+    bundle = replace(
         loads_bundle('<resources lang="en"/>'),
         abbreviations=frozenset(['a"b.', "x&y.", "p<q."]),
     )
@@ -343,7 +343,7 @@ def test_serializer_rejects_reserved_feature_keys():
         "S", (GrammarRule(Category("S"), (Category("A", {"head": "x"}),), 1),)
     )
     with pytest.raises(ValueError):
-        ser(with_changes(bundle, grammar=grammar))
+        ser(replace(bundle, grammar=grammar))
 
 
 def test_lookup_tables_are_built_on_first_use_only(en_bio_path):

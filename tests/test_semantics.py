@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -335,7 +337,7 @@ def test_emitted_instance_satisfies_frame_invariants(en_bio):
 
 
 def test_optional_slot_stays_unbound_without_constituent(en_bio):
-    from xdoc.resources import CaseFrame, FrameSlot, with_changes
+    from xdoc.resources import CaseFrame, FrameSlot
 
     frame = CaseFrame(
         "inhibit-opt",
@@ -346,7 +348,7 @@ def test_optional_slot_stays_unbound_without_constituent(en_bio):
             FrameSlot("patient", "object", "enzyme", False),
         ),
     )
-    bundle = with_changes(en_bio, frames=(frame,))
+    bundle = replace(en_bio, frames=(frame,))
     tree = node("S", [node("NP", [leaf("N", 0)]), node("VP", [leaf("V", 1)])], head=1)
     mapped = semantic_tag(tagged_of(("Aspirin", "N"), ("inhibits", "V")), bundle)
     instances, diagnostics = instantiate_frames(tree, mapped, bundle)
@@ -356,9 +358,7 @@ def test_optional_slot_stays_unbound_without_constituent(en_bio):
 
 
 def test_bundle_without_frames_yields_nothing(en_bio):
-    from xdoc.resources import with_changes
-
-    bundle = with_changes(en_bio, frames=())
+    bundle = replace(en_bio, frames=())
     mapped = semantic_tag(tagged_of(("Aspirin", "N"), ("inhibits", "V")), bundle)
     assert instantiate_frames(svo_tree(), mapped, bundle) == ([], [])
 
