@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 __all__ = [
     "PUNCTUATION",
@@ -53,18 +53,20 @@ def _blen(s: str) -> int:
     return len(s.encode("utf-8"))
 
 
-def _split_run(run: str, abbrevs: list[str]) -> Iterator[str]:
+def _split_run(run: str, abbrevs: Mapping[str, list[str]]) -> Iterator[str]:
     """Split one whitespace-free run into token forms, in order.
 
     Punctuation characters become their own tokens except when they sit
     between digits (decimal points, digit grouping) or when an
     abbreviation from the lexicon starts at the current position; the
-    abbreviation is then emitted whole, trailing period included.
+    longest such abbreviation is then emitted whole, trailing period
+    included.  ``abbrevs`` maps a first character to the abbreviations
+    starting with it, longest first.
     """
     pos = 0
     n = len(run)
     while pos < n:
-        hit = next((a for a in abbrevs if run.startswith(a, pos)), None)
+        hit = next((a for a in abbrevs.get(run[pos], ()) if run.startswith(a, pos)), None)
         if hit is not None:
             yield hit
             pos += len(hit)
@@ -98,7 +100,9 @@ def tokenize(text: str, abbreviations: Iterable[str] = ()) -> list[Token]:
     punctuation stay inside tokens (``COX-2`` and ``3.5`` are single
     tokens); an abbreviation such as ``Dr.`` keeps its period.
     """
-    abbrevs = sorted((a for a in abbreviations if a), key=len, reverse=True)
+    abbrevs: dict[str, list[str]] = {}
+    for a in sorted((a for a in abbreviations if a), key=len, reverse=True):
+        abbrevs.setdefault(a[0], []).append(a)
     tokens: list[Token] = []
     char_pos = 0
     byte_pos = 0

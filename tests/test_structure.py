@@ -5,7 +5,15 @@ import re
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xdoc.structure import Sentence, paragraph_breaks, segment, split_sentences, tokenize
+from xdoc.structure import (
+    PUNCTUATION,
+    Sentence,
+    Token,
+    paragraph_breaks,
+    segment,
+    split_sentences,
+    tokenize,
+)
 
 
 def forms(tokens):
@@ -100,9 +108,50 @@ def test_segment_without_blank_line_matches_split():
     assert sentences == split_sentences(tokens)
 
 
-TEXT_ALPHABET = st.sampled_from(list("abA .!?\n-3(ü"))
-texts = st.text(alphabet=TEXT_ALPHABET, max_size=60)
-abbrev_sets = st.sets(st.sampled_from(["a.", "ab.", "b.a.", "A."]), max_size=3)
+TEXT_ALPHABET = "abA .!?\n-3(ü"
+texts = st.text(alphabet=st.sampled_from(list(TEXT_ALPHABET)), max_size=60)
+# Overlapping abbreviations: one is a prefix ("a." / "a.b."), a suffix
+# ("ab." / "b.") or an infix ("b.a." / "a.") of another.
+ABBREVIATIONS = ["a.", "ab.", "b.a.", "A.", "a.b.", "b."]
+abbrev_sets = st.sets(st.sampled_from(ABBREVIATIONS), max_size=4)
+# Text glued from abbreviations and single characters, so that
+# overlapping abbreviations compete at the same position.
+abbrev_texts = st.lists(st.sampled_from(ABBREVIATIONS + list(TEXT_ALPHABET))).map("".join)
+
+
+def _reference_tokenize(text, abbreviations):
+    """Linear scan: every abbreviation, longest first, tried at every character."""
+    abbrevs = sorted((a for a in abbreviations if a), key=len, reverse=True)
+    forms = []
+    for run in re.findall(r"\S+", text):
+        pos = 0
+        while pos < len(run):
+            hit = next((a for a in abbrevs if run.startswith(a, pos)), None)
+            if hit is None and run[pos] in PUNCTUATION:
+                hit = run[pos]
+            if hit is None:
+                end = pos
+                while end < len(run):
+                    ch = run[end]
+                    digit_internal = (
+                        ch in ".,"
+                        and pos < end < len(run) - 1
+                        and run[end - 1].isdigit()
+                        and run[end + 1].isdigit()
+                    )
+                    if ch in PUNCTUATION and not digit_internal:
+                        break
+                    end += 1
+                hit = run[pos:end]
+            forms.append(hit)
+            pos += len(hit)
+    tokens, cursor = [], 0
+    for form in forms:
+        start = text.index(form, cursor)
+        offset = len(text[:start].encode("utf-8"))
+        tokens.append(Token(len(tokens), form, offset, len(form.encode("utf-8"))))
+        cursor = start + len(form)
+    return tokens
 
 
 @given(texts, abbrev_sets)
@@ -120,6 +169,12 @@ def test_tokens_index_back_into_source(text, abbrevs):
     for token in tokens:
         rebuilt[token.offset : token.offset + token.length] = token.form.encode("utf-8")
     assert bytes(rebuilt) == raw
+
+
+@given(abbrev_texts, abbrev_sets)
+@settings(max_examples=300)
+def test_tokenize_matches_linear_scan(text, abbrevs):
+    assert tokenize(text, abbrevs) == _reference_tokenize(text, abbrevs)
 
 
 @given(texts, abbrev_sets)
