@@ -101,7 +101,7 @@ def _frame_relations(frames: Sequence[FrameInstance], bundle: ResourceBundle) ->
         obj = instance.bindings.get(by_gf.get("object", ""))
         if subj is None or obj is None or subj[0] == obj[0]:
             continue
-        out.append(Relation(instance.relation, subj[0], obj[0], instance.frame_id))
+        out.append(Relation(instance.relation, subj[0], obj[0], instance.frame_id, instance))
     return out
 
 
@@ -283,11 +283,10 @@ def emit_xml(doc: AnnotatedDocument) -> str:
             lines.extend(_tree_xml(analysis.tree, analysis.parse_input, "      "))
             lines.append("    </parse>")
         if analysis.relations:
-            frame_bindings = {f.frame_id: f for f in analysis.frames}
             lines.append("    <relations>")
             for relation in analysis.relations:
-                instance = frame_bindings.get(relation.source)
-                if instance is not None and instance.relation == relation.name:
+                instance = relation.frame
+                if instance is not None:
                     pairs = [("type", relation.name), ("pred", str(instance.predicate))]
                     lines.append(f"      <rel{_attrs(pairs)}>")
                     for role, (token_id, _) in sorted(instance.bindings.items()):

@@ -17,7 +17,7 @@ code: the same functions serve every language.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
 from .errors import UnknownConcept
@@ -57,6 +57,7 @@ class Relation:
     arg1: int  # token id
     arg2: int
     source: str  # frame id or pattern id
+    frame: FrameInstance | None = field(default=None, compare=False)  # a frame's own match
 
     def __post_init__(self) -> None:
         if self.arg1 == self.arg2:
@@ -177,8 +178,8 @@ def instantiate_frames(
 ) -> tuple[list[FrameInstance], list[Diagnostic]]:
     """Match case frames against one parse tree.
 
-    Every token whose lemma equals a frame's predicate lemma is a
-    candidate, at most one instance per (token, frame).  Each slot binds
+    Every token inside the tree whose lemma equals a frame's predicate
+    lemma is a candidate, at most one instance per (token, frame).  Each slot binds
     the head token of the constituent its grammatical function selects;
     the instance is accepted only when all required slots bind and every
     bound filler's concept is subsumed by the slot's fill concept.
@@ -191,7 +192,7 @@ def instantiate_frames(
         return instances, diagnostics
 
     functions = grammatical_functions(tree, bundle.gf_mode)
-    for t in tagged:
+    for t in tagged[tree.start : tree.end]:
         if t.lemma is None:
             continue
         for frame in by_lemma.get(t.lemma, ()):

@@ -6,6 +6,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xdoc.errors import ResourceError, UnmappedTag
 from xdoc.pipeline import (
@@ -241,6 +243,73 @@ def test_export_relations_orders_rows_by_sentence(en_bio):
     doc = analyze_text(en_bio, text)
     rows = export_relations(doc).splitlines()[1:]
     assert [row.split("\t")[-1] for row in rows] == ["s1", "s2"]
+
+
+# -- XML and TSV describe the same relations
+
+RUN_ON_PARTS = {
+    "en": [
+        "Aspirin inhibits cyclooxygenase",
+        "water inhibits cyclooxygenase",
+        "the liver of the patient",
+        "Aspirin inhibits the liver",
+    ],
+    "de": [
+        "Den Katalysator hemmt der Wirkstoff",
+        "der Wirkstoff des Herstellers hemmt den Katalysator",
+        "der Katalysator des Herstellers",
+    ],
+}
+WORDS = {
+    "en": ["Aspirin", "water", "cyclooxygenase", "inhibits", "the", "of", "liver", "patient"],
+    "de": ["der", "den", "des", "Wirkstoff", "Katalysator", "Herstellers", "hemmt"],
+}
+
+
+def _documents(lang):
+    """Sentences of one to three clauses or word runs, so many hold two predicates."""
+    part = st.one_of(
+        st.sampled_from(RUN_ON_PARTS[lang]),
+        st.lists(st.sampled_from(WORDS[lang]), min_size=1, max_size=4).map(" ".join),
+    )
+    sentence = st.lists(part, min_size=1, max_size=3).map(lambda parts: " ".join(parts) + " .")
+    return st.lists(sentence, min_size=1, max_size=3).map(" ".join)
+
+
+def _xml_relation_rows(xml, bundle):
+    """(relation, arg1 form, arg2 form, sentence id) per <rel>, in document order."""
+    position = {"arg1": 1, "arg2": 2}
+    for frame in bundle.frames:
+        for slot in frame.slots:
+            position[slot.role] = 1 if slot.gf == "subject" else 2
+    rows = []
+    for sentence in ET.fromstring(xml).iter("sentence"):
+        forms = {t.get("id"): t.get("form") for t in sentence.iter("t")}
+        for rel in sentence.iter("rel"):
+            args = {position[a.get("role")]: forms[a.get("ref")] for a in rel.iter("arg")}
+            rows.append((rel.get("type"), args[1], args[2], sentence.get("id")))
+    return rows
+
+
+@given(case=st.sampled_from(["en", "de"]).flatmap(lambda lang: st.tuples(st.just(lang), _documents(lang))))
+@settings(max_examples=200, deadline=None)
+def test_xml_and_tsv_list_the_same_relations(en_bio, de_core, case):
+    lang, text = case
+    bundle = en_bio if lang == "en" else de_core
+    doc = analyze_text(bundle, text, lenient=True)
+    tsv_rows = [
+        (row[0], row[1], row[3], row[5])
+        for row in (line.split("\t") for line in export_relations(doc).splitlines()[1:])
+    ]
+    assert _xml_relation_rows(emit_xml(doc), bundle) == tsv_rows
+
+
+def test_two_predicate_run_on_yields_one_relation_per_predicate(en_bio):
+    doc = analyze_text(en_bio, "Aspirin inhibits cyclooxygenase water inhibits cyclooxygenase .")
+    rows = export_relations(doc).splitlines()[1:]
+    assert [row.split("\t")[1] for row in rows] == ["Aspirin", "water"]
+    rels = ET.fromstring(emit_xml(doc)).findall("./sentence/relations/rel")
+    assert [(rel.get("pred"), rel.find("arg").get("ref")) for rel in rels] == [("1", "0"), ("4", "3")]
 
 
 # -- the German bundle through the identical code path

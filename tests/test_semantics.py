@@ -257,7 +257,7 @@ def test_verb_without_frame_yields_nothing(en_bio):
 
 def test_missing_required_slot_is_diagnosed(en_bio):
     # no VP means no subject/object bindings in positional mode
-    tree = node("NP", [leaf("N", 0)])
+    tree = node("NP", [leaf("N", 0), leaf("V", 1)])
     mapped = semantic_tag(tagged_of(("x", "N"), ("inhibits", "V")), en_bio)
     instances, diagnostics = instantiate_frames(tree, mapped, en_bio)
     assert instances == []
