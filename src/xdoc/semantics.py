@@ -57,7 +57,7 @@ class Relation:
     arg1: int  # token id
     arg2: int
     source: str  # frame id or pattern id
-    frame: FrameInstance | None = field(default=None, compare=False)  # a frame's own match
+    frame: FrameInstance | None = field(default=None, compare=False)  # None for patterns
 
     def __post_init__(self) -> None:
         if self.arg1 == self.arg2:
@@ -179,11 +179,12 @@ def instantiate_frames(
     """Match case frames against one parse tree.
 
     Every token inside the tree whose lemma equals a frame's predicate
-    lemma is a candidate, at most one instance per (token, frame).  Each slot binds
-    the head token of the constituent its grammatical function selects;
-    the instance is accepted only when all required slots bind and every
-    bound filler's concept is subsumed by the slot's fill concept.
-    Rejections are reported as diagnostics, never as errors.
+    lemma is a candidate, at most one instance per (token, frame), so
+    each chunk of a fallback binds only its own predicates.  Each slot
+    binds the head token of the constituent its grammatical function
+    selects; the instance is accepted only when all required slots bind
+    and every bound filler's concept is subsumed by the slot's fill
+    concept.  Rejections are reported as diagnostics, never as errors.
     """
     instances: list[FrameInstance] = []
     diagnostics: list[Diagnostic] = []
