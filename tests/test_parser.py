@@ -42,13 +42,9 @@ EN_GRAMMAR = Grammar(
 AMBIG_NP = grammar_of(("NP", ("NP", "NP")), ("NP", ("N",)))
 
 
-def spans(chart):
-    return chart_spans(chart)
-
-
 def test_simple_sentence_chart_closure():
     chart = parse(["N", "V", "N"], EN_GRAMMAR)
-    have = spans(chart)
+    have = chart_spans(chart)
     assert {("NP", 0, 1), ("NP", 2, 3), ("VP", 1, 3), ("S", 0, 3)} <= have
     trees = complete_parses(chart, "S")
     assert len(trees) == 1
@@ -61,7 +57,7 @@ def test_simple_sentence_chart_closure():
 
 def test_chart_matches_oracle_on_simple_sentence():
     rules = [("S", ("NP", "VP")), ("NP", ("DET", "N")), ("NP", ("N",)), ("VP", ("V", "NP"))]
-    assert spans(parse(["N", "V", "N"], EN_GRAMMAR)) == brute_force_spans(rules, ["N", "V", "N"])
+    assert chart_spans(parse(["N", "V", "N"], EN_GRAMMAR)) == brute_force_spans(rules, ["N", "V", "N"])
 
 
 def test_ambiguous_np_has_two_derivations():
@@ -80,7 +76,7 @@ def test_catalan_counts_match_bracketing_oracle():
 
 def test_single_unmatched_tag_leaves_terminal_edge_only():
     chart = parse(["DET"], EN_GRAMMAR)
-    assert spans(chart) == {("DET", 0, 1)}
+    assert chart_spans(chart) == {("DET", 0, 1)}
     assert complete_parses(chart, "S") == []
 
 
@@ -148,8 +144,8 @@ def test_case_feature_blocks_mismatched_rule():
             GrammarRule(Category("NP", {"case": "acc"}), (Category("DA"),), 1),
         ),
     )
-    assert ("S", 0, 2) in spans(parse(["DN", "V"], grammar))
-    assert ("S", 0, 2) not in spans(parse(["DA", "V"], grammar))
+    assert ("S", 0, 2) in chart_spans(parse(["DN", "V"], grammar))
+    assert ("S", 0, 2) not in chart_spans(parse(["DA", "V"], grammar))
 
 
 def test_parent_takes_head_features_lhs_wins():
@@ -173,8 +169,8 @@ def test_terminal_features_participate_in_matching():
         "S",
         (GrammarRule(Category("S"), (Category("D", {"case": "nom"}), Category("N")), 2),),
     )
-    assert ("S", 0, 2) in spans(parse([("D", {"case": "nom"}), ("N", {})], grammar))
-    assert ("S", 0, 2) not in spans(parse([("D", {"case": "acc"}), ("N", {})], grammar))
+    assert ("S", 0, 2) in chart_spans(parse([("D", {"case": "nom"}), ("N", {})], grammar))
+    assert ("S", 0, 2) not in chart_spans(parse([("D", {"case": "acc"}), ("N", {})], grammar))
 
 
 def test_chunks_greedy_cover_without_vp_rule():

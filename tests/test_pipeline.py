@@ -23,7 +23,7 @@ ASPIRIN = "Aspirin inhibits cyclooxygenase ."
 GERMAN_OVS = "Den Katalysator hemmt der Wirkstoff ."
 
 
-def test_stage_check_requires_prefix():
+def test_config_requires_stage_prefix():
     assert check_stages(["tok", "sent"]) == ("tok", "sent")
     with pytest.raises(ValueError):
         check_stages(("tok", "tag"))
