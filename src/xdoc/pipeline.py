@@ -24,7 +24,13 @@ from typing import Iterable, Sequence
 
 from .errors import ResourceError, TooAmbiguous, UnmappedTag
 from .parsing import ParseTree, chunks, complete_parses, parse
-from .resources import ResourceBundle, _attrs, load_bundle, validate_bundle
+from .resources import (
+    ResourceBundle,
+    _attrs,
+    _read_bundle_bytes,
+    loads_bundle,
+    validate_bundle,
+)
 from .semantics import (
     Diagnostic,
     FrameInstance,
@@ -81,13 +87,30 @@ class AnnotatedDocument:
     sentences: list[SentenceAnalysis] = field(default_factory=list)
 
 
+# The last bundle that passed validation and the exact bytes it was parsed
+# from.  Keyed by content, not by path or mtime, so an edited file is seen
+# on the next call; a bundle that fails validation is never stored.
+_last_valid: tuple[bytes, ResourceBundle] | None = None
+
+
 def _load_validated(path: str | Path) -> ResourceBundle:
-    bundle = load_bundle(path)
+    """Read the bundle file; parse and validate it unless its bytes are the last valid ones.
+
+    The returned bundle may be shared with earlier calls, so callers must
+    not let it escape or change it.
+    """
+    global _last_valid
+    data = _read_bundle_bytes(path)
+    last = _last_valid
+    if last is not None and last[0] == data:
+        return last[1]
+    bundle = loads_bundle(data)
     findings = validate_bundle(bundle)
     errors = [f for f in findings if f.severity == "error"]
     if errors:
         summary = "; ".join(f"{f.code} at {f.location}" for f in errors[:5])
         raise ResourceError(f"bundle {path} failed validation: {summary}")
+    _last_valid = (data, bundle)
     return bundle
 
 
@@ -203,7 +226,10 @@ def run_pipeline(
 ) -> AnnotatedDocument:
     """Load and validate the bundle, then run the stage prefix over one input.
 
-    The input is either raw ``text`` or an ``external_tags`` file of
+    The bundle file is read on every call; while its bytes equal those of
+    the last bundle that passed validation in this process, that bundle
+    and its built indexes are reused instead of parsed again.  The input
+    is either raw ``text`` or an ``external_tags`` file of
     ``form<TAB>tag`` lines, never both.  Raises :class:`ValueError` for
     a bad stage list or input choice, :class:`ResourceError` when the
     bundle is invalid, :class:`InputError` for an unreadable tag file,

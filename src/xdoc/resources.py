@@ -632,18 +632,23 @@ def loads_bundle(data: str | bytes) -> ResourceBundle:
     return bundle
 
 
+def _read_bundle_bytes(path: str | Path) -> bytes:
+    """The bundle file's bytes; :class:`MalformedResource` when unreadable."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise MalformedResource(str(path), f"cannot read bundle: {exc}") from None
+
+
 def load_bundle(path: str | Path) -> ResourceBundle:
     """Load and type-check one bundle file.
 
     Raises :class:`MalformedResource` for unreadable files and schema
     violations and :class:`CyclicOntology` when the isa graph has a
-    cycle.  No cross-section validation happens here.
+    cycle.  No cross-section validation happens here.  Every call reads
+    the file and returns a new bundle; nothing is cached.
     """
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise MalformedResource(str(path), f"cannot read bundle: {exc}") from None
-    return loads_bundle(data)
+    return loads_bundle(_read_bundle_bytes(path))
 
 
 # ---------------------------------------------------------------------------

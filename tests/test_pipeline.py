@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import replace
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xdoc.errors import ResourceError, UnmappedTag
+from xdoc import pipeline
+from xdoc.errors import MalformedResource, ResourceError, UnmappedTag
 from xdoc.pipeline import (
     STAGES,
     analyze_text,
@@ -18,6 +20,7 @@ from xdoc.pipeline import (
     export_relations,
     run_pipeline,
 )
+from xdoc.resources import load_bundle
 
 ASPIRIN = "Aspirin inhibits cyclooxygenase ."
 GERMAN_OVS = "Den Katalysator hemmt der Wirkstoff ."
@@ -399,3 +402,212 @@ def test_exported_names_are_the_documented_ones():
     section = readme.split("## Python API", 1)[1].split("\n## ", 1)[0]
     documented = {n for n in re.findall(r"`(\w+)", section) if hasattr(xdoc, n)}
     assert documented == set(xdoc.__all__)
+
+
+# -- the validated bundle is reused while the file's bytes are unchanged
+
+
+def _bundles_used(monkeypatch):
+    """Record the bundle each later ``run_pipeline`` call on raw text analyzes with."""
+    used = []
+    real = pipeline.analyze_text
+
+    def spy(bundle, text, **kwargs):
+        used.append(bundle)
+        return real(bundle, text, **kwargs)
+
+    monkeypatch.setattr(pipeline, "analyze_text", spy)
+    return used
+
+
+def _reaches(root, target):
+    """Whether ``target`` is reachable from ``root`` through dataclass fields and containers."""
+    seen, stack = set(), [root]
+    while stack:
+        obj = stack.pop()
+        if obj is target:
+            return True
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+            stack.extend(getattr(obj, f.name) for f in dataclasses.fields(obj))
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.items())
+    return False
+
+
+def test_same_bytes_reuse_one_bundle(en_bio_path, tmp_path, monkeypatch):
+    copy = tmp_path / "copy.xml"
+    copy.write_bytes(Path(en_bio_path).read_bytes())
+    used = _bundles_used(monkeypatch)
+    docs = [run_pipeline(path, ASPIRIN) for path in (en_bio_path, en_bio_path, copy)]
+    assert used[0] is used[1] is used[2]
+    assert all(not _reaches(doc, used[0]) for doc in docs)
+    assert [emit_xml(doc) for doc in docs[1:]] == [emit_xml(docs[0])] * 2
+
+
+def test_rewritten_bundle_is_seen_on_next_call(en_bio_path, tmp_path):
+    path = tmp_path / "bundle.xml"
+    original = Path(en_bio_path).read_bytes()
+    entry = b'<entry lemma="cyclooxygenase" pos="N" semclass="enzyme"/>'
+    assert original.count(entry) == 1
+    path.write_bytes(original)
+    assert len(run_pipeline(path, ASPIRIN).sentences[0].relations) == 1
+    path.write_bytes(original.replace(entry, b""))
+    assert run_pipeline(path, ASPIRIN).sentences[0].relations == ()
+    path.write_bytes(original)
+    assert len(run_pipeline(path, ASPIRIN).sentences[0].relations) == 1
+
+
+INVALID_BUNDLE = """<resources lang="xx">
+  <taglexicon default="QQ"/>
+  <tagmap><map from="NN" to="N"/></tagmap>
+</resources>"""
+
+
+def test_invalid_bytes_after_valid_run_are_refused(en_bio_path, tmp_path, monkeypatch, capsys):
+    from xdoc.cli import main
+
+    used = _bundles_used(monkeypatch)
+    run_pipeline(en_bio_path, ASPIRIN)
+    text = tmp_path / "doc.txt"
+    text.write_text(ASPIRIN, encoding="utf-8")
+    bad = tmp_path / "bad.xml"
+    # Validation failures name the bundle file; schema errors name the element.
+    for content, named in ((INVALID_BUNDLE, str(bad)), ("<resources", "not well-formed")):
+        bad.write_text(content, encoding="utf-8")
+        for _ in range(2):  # a refused bundle is never stored, so it fails every time
+            with pytest.raises(ResourceError, match=re.escape(named)):
+                run_pipeline(bad, ASPIRIN)
+        assert main(["analyze", "--bundle", str(bad), "--input", str(text)]) == 1
+        assert named in capsys.readouterr().err
+    run_pipeline(en_bio_path, ASPIRIN)
+    assert used[1] is used[0]  # the failures left the last valid bundle in place
+
+
+def test_edited_or_deleted_bundle_is_refused_on_next_call(en_bio_path, tmp_path):
+    path = tmp_path / "bundle.xml"
+    path.write_bytes(Path(en_bio_path).read_bytes())
+    run_pipeline(path, ASPIRIN)
+    path.write_text(INVALID_BUNDLE, encoding="utf-8")
+    with pytest.raises(ResourceError, match="failed validation"):
+        run_pipeline(path, ASPIRIN)
+    path.unlink()
+    with pytest.raises(MalformedResource) as cached:
+        run_pipeline(path, ASPIRIN)
+    with pytest.raises(MalformedResource) as uncached:
+        load_bundle(path)
+    assert str(cached.value) == str(uncached.value)
+    assert "cannot read bundle" in str(cached.value)
+
+
+def test_load_bundle_never_caches(en_bio_path, monkeypatch):
+    used = _bundles_used(monkeypatch)
+    run_pipeline(en_bio_path, ASPIRIN)
+    first, second = load_bundle(en_bio_path), load_bundle(en_bio_path)
+    assert first is not second
+    assert used[0] is not first and used[0] is not second
+
+
+def _de_np(article, head, genitives):
+    words = [article, (head, "NN")]
+    for genitive in genitives:
+        words += [("des", "ARTG"), (genitive, "NN")]
+    return words
+
+
+# A 588-reading clause (TooAmbiguous, then chunks), a verbless genitive chain
+# (no complete parse, chunks) and an unmappable tag (a failed sentence).
+DE_LENIENT_TAGS = "\n\n".join(
+    "\n".join(f"{form}\t{tag}" for form, tag in sentence)
+    for sentence in (
+        _de_np(("Der", "ARTN"), "Wirkstoff", ["Herstellers", "Labors", "Instituts", "Verfahrens"])
+        + [("hemmt", "VVFIN")]
+        + _de_np(("den", "ARTA"), "Katalysator",
+                 ["Präparats", "Extrakts", "Versuchs", "Labors", "Instituts"])
+        + [(".", "$.")],
+        _de_np(("Der", "ARTN"), "Hersteller",
+               ["Wirkstoffs", "Labors", "Instituts", "Verfahrens", "Präparats", "Extrakts"])
+        + [(".", "$.")],
+        [("Foo", "FW"), (".", "$.")],
+    )
+) + "\n"
+
+
+def _reuse_calls(en_bio_path, de_core_path, tmp_path):
+    """``run_pipeline`` arguments that switch bundles and cover every fallback."""
+    tags = external_tags_file(tmp_path, DE_LENIENT_TAGS)
+    return [
+        (en_bio_path, {"text": ASPIRIN}),
+        (en_bio_path, {"text": "Aspirin inhibits cyclooxygenase water inhibits cyclooxygenase ."}),
+        (en_bio_path, {"text": "the inhibitor of the enzyme . Aspirin inhibits COX-2. Dr. Smith e.g. watches ."}),
+        (de_core_path, {"text": GERMAN_OVS}),
+        (de_core_path, {"external_tags": tags, "lenient": True}),
+        (de_core_path, {"text": "Der Wirkstoff des Herstellers hemmt den Katalysator ."}),
+        (de_core_path, {"external_tags": tags, "lenient": True}),
+        (en_bio_path, {"text": ASPIRIN + " The drug inhibits the enzyme ."}),
+        (en_bio_path, {"text": "the liver of the patient .", "stages": STAGES[:5]}),
+    ]
+
+
+def _rendered(calls):
+    docs = [run_pipeline(path, **kwargs) for path, kwargs in calls]
+    return [(emit_xml(doc), export_relations(doc)) for doc in docs]
+
+
+def _cold_outputs(calls, monkeypatch):
+    out = []
+    for call in calls:
+        monkeypatch.setattr(pipeline, "_last_valid", None)
+        out.extend(_rendered([call]))
+    return out
+
+
+def test_warm_bundle_gives_the_bytes_of_a_cold_one(en_bio_path, de_core_path, tmp_path, monkeypatch):
+    calls = _reuse_calls(en_bio_path, de_core_path, tmp_path)
+    cold = _cold_outputs(calls, monkeypatch)
+    lenient_xml = cold[4][0]
+    assert 'code="TooAmbiguous"' in lenient_xml and 'code="UnmappedTag"' in lenient_xml
+    assert "<parse>" not in lenient_xml and "<relations>" in lenient_xml  # chunk fallback
+    assert _rendered(calls) == cold
+    assert _rendered(calls) == cold
+
+
+def test_threads_sharing_a_bundle_give_the_bytes_of_one_thread(
+    en_bio_path, de_core_path, tmp_path, monkeypatch
+):
+    # Lazy indexes and grammar memo tables of the shared bundle fill while
+    # threads race; from 3.12 on ``cached_property`` no longer locks.
+    import sys
+    import threading
+
+    calls = _reuse_calls(en_bio_path, de_core_path, tmp_path)
+    calls = [c for c in calls if c[0] == de_core_path] + [c for c in calls if c[0] == en_bio_path]
+    cold = _cold_outputs(calls, monkeypatch)
+    results, errors = {}, []
+
+    def worker(n):
+        try:
+            results[n] = _rendered(calls[n % 2 :] + calls[: n % 2])
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    monkeypatch.setattr(pipeline, "_last_valid", None)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(n,)) for n in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    for n, got in results.items():
+        assert got == cold[n % 2 :] + cold[: n % 2]
+    assert len(results) == 4
