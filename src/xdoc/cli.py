@@ -2,7 +2,8 @@
 
 Subcommands: validate a bundle, analyze a document, dump the tagger
 output, or parse a tag sequence.  Exit codes: 0 success, 1 resource
-error, 2 input error, 3 analysis error in strict mode.
+error, 2 input error, 3 analysis error in strict mode, 4 internal error
+(any other exception, reported in one line without a traceback).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ EXIT_OK = 0
 EXIT_RESOURCE = 1
 EXIT_INPUT = 2
 EXIT_ANALYSIS = 3
+EXIT_INTERNAL = 4
 
 
 def _read_text(path: str) -> str:
@@ -65,7 +67,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             stages = check_stages(p.strip() for p in args.stages.split(",") if p.strip())
         except ValueError as exc:
             raise InputError(str(exc)) from None
-    text = None if args.external_tags is not None else _read_text(args.input)
+    if args.external_tags is not None:
+        if args.input is not None:
+            raise InputError("--input and --external-tags are mutually exclusive")
+        text = None
+    else:
+        text = _read_text("-" if args.input is None else args.input)
     doc = run_pipeline(
         args.bundle,
         text,
@@ -121,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="run the analysis stages over a document")
     p.add_argument("--bundle", required=True)
-    p.add_argument("--input", default="-", help="UTF-8 text file, or - for stdin")
+    p.add_argument("--input", default=None, help="UTF-8 text file, or - for stdin (the default)")
     p.add_argument("--output", default=None, help="annotated XML target, default stdout")
     p.add_argument("--stages", default=None, help=f"comma-separated prefix of {','.join(STAGES)}")
     p.add_argument("--lenient", action="store_true", help="record per-sentence failures and continue")
@@ -156,6 +163,9 @@ def main(argv: list[str] | None = None) -> int:
     except AnalysisError as exc:
         print(f"analysis error: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS
+    except Exception as exc:  # a defect, kept apart from the documented codes
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -202,3 +202,57 @@ def test_parse_rejects_invalid_bundle(tmp_path, capsys):
         encoding="utf-8",
     )
     assert main(["parse", "--bundle", str(bundle), "--tags", "N"]) == 1
+
+
+def _doc(tmp_path) -> str:
+    path = tmp_path / "doc.txt"
+    path.write_text(ASPIRIN, encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("input_arg", ["/no/such/file", "-", None])
+def test_analyze_rejects_input_with_external_tags(en_bio_path, tmp_path, capsys, input_arg):
+    tags = tmp_path / "tags.tsv"
+    tags.write_text("Aspirin\tNNP\ninhibits\tVBZ\ncyclooxygenase\tNN\n", encoding="utf-8")
+    input_arg = input_arg or _doc(tmp_path)
+    code = main(
+        ["analyze", "--bundle", en_bio_path, "--external-tags", str(tags), "--input", input_arg]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "--input and --external-tags" in captured.err
+    assert captured.out == ""
+
+
+def test_unexpected_exception_exits_four_with_one_line(en_bio_path, tmp_path, monkeypatch, capsys):
+    import xdoc.cli
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(xdoc.cli, "run_pipeline", broken)
+    assert main(["analyze", "--bundle", en_bio_path, "--input", _doc(tmp_path)]) == 4
+    assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+
+
+def test_resource_error_still_exits_one(en_bio_path, tmp_path, monkeypatch, capsys):
+    import xdoc.cli
+    from xdoc.errors import ResourceError
+
+    def refuse(*args, **kwargs):
+        raise ResourceError("refused")
+
+    monkeypatch.setattr(xdoc.cli, "run_pipeline", refuse)
+    assert main(["analyze", "--bundle", en_bio_path, "--input", _doc(tmp_path)]) == 1
+    assert capsys.readouterr().err == "resource error: refused\n"
+
+
+def test_interrupt_is_not_caught(en_bio_path, tmp_path, monkeypatch):
+    import xdoc.cli
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(xdoc.cli, "run_pipeline", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["analyze", "--bundle", en_bio_path, "--input", _doc(tmp_path)])
