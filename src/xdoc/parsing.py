@@ -8,10 +8,17 @@ shared keys; a parent edge takes its head child's features overlaid
 with the rule's lhs features (lhs wins on conflict).  This is a
 deliberate reduction of unification, sufficient for case marking.
 
-Feature matches and parent categories depend only on the grammar and
-the categories involved, so they are memoised in the grammar's compiled
-tables (:attr:`Grammar.compiled`) and shared by every parse with that
-grammar object.
+The chart is integer-coded.  Every category is interned to a small int
+in the grammar's compiled tables (:attr:`Grammar.compiled`), nodes are
+keyed by (category id, start, end), and active edges are plain
+(rule index, start, children) tuples.  Feature matches and parent
+categories depend only on the grammar and the categories involved, so
+they are memoised there by category id and shared by every parse with
+that grammar object.  A (rule index, children) pair fixes the edge it
+makes, so one set of the pairs seen in a parse replaces any
+per-node duplicate check; it lives only as long as the parse.  Nodes
+are numbered in creation order, the first ``len(tags)`` being the
+leaves, and ``node.category`` reads the grammar's table.
 
 Because the chart is built bottom-up without top-down filtering it
 keeps every constituent, which the chunk fallback exploits when no
@@ -21,7 +28,6 @@ complete parse exists.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
@@ -79,27 +85,23 @@ class ParseTree:
             yield from child.preorder()
 
 
-@dataclass
+@dataclass(slots=True)
 class _Node:
-    """One packed passive edge."""
+    """One packed passive edge; ``cat`` is its category's interned id."""
 
     id: int
-    category: Category
+    cat: int
     start: int
     end: int
-    derivations: list[Derivation] = field(default_factory=list)
+    derivations: list[Derivation]
+    _categories: Sequence[Category] = field(repr=False, compare=False)
+
+    @property
+    def category(self) -> Category:
+        return self._categories[self.cat]
 
     def is_constituent(self) -> bool:
         return any(rule is not None for rule, _ in self.derivations)
-
-
-@dataclass(frozen=True)
-class _ActiveEdge:
-    rule_index: int
-    start: int
-    end: int
-    dot: int
-    children: tuple[int, ...]
 
 
 def features_match(needed: Category, found: Category) -> bool:
@@ -117,16 +119,14 @@ def _parent_category(lhs: Category, head_child: Category) -> Category:
 
 
 class Chart:
-    """Packed edge store over one tag sequence."""
+    """Packed edge store over one tag sequence, filled by :func:`parse`."""
 
     def __init__(self, length: int, grammar: Grammar):
         self.length = length
         self.grammar = grammar
         self.nodes: list[_Node] = []
-        self._by_key: dict[tuple[Category, int, int], int] = {}
         self._by_start_name: dict[tuple[int, str], list[int]] = {}
         self._by_start: dict[int, list[int]] = {}
-        self._leaf_at: dict[int, int] = {}
 
     def node(self, node_id: int) -> _Node:
         return self.nodes[node_id]
@@ -136,24 +136,6 @@ class Chart:
 
     def passives_from(self, start: int) -> list[_Node]:
         return [self.nodes[i] for i in self._by_start.get(start, ())]
-
-    def _add(self, category: Category, start: int, end: int, deriv: Derivation) -> _Node | None:
-        """Pack a derivation; returns the node only when newly created."""
-        key = (category, start, end)
-        node_id = self._by_key.get(key)
-        if node_id is not None:
-            node = self.nodes[node_id]
-            if deriv not in node.derivations:
-                node.derivations.append(deriv)
-            return None
-        node = _Node(len(self.nodes), category, start, end, [deriv])
-        self.nodes.append(node)
-        self._by_key[key] = node.id
-        self._by_start_name.setdefault((start, category.name), []).append(node.id)
-        self._by_start.setdefault(start, []).append(node.id)
-        if deriv[0] is None:
-            self._leaf_at.setdefault(start, node.id)
-        return node
 
 
 def parse(
@@ -168,69 +150,106 @@ def parse(
     if not tags:
         raise EmptyInput("cannot parse an empty tag sequence")
 
-    terminals: list[Category] = []
+    compiled = grammar.compiled
+    intern = compiled.intern
+    terminals: list[int] = []
     for item in tags:
         if isinstance(item, str):
-            terminals.append(Category(item))
+            terminals.append(intern(Category(item)))
         else:
             name, features = item
-            terminals.append(Category(name, features))
+            terminals.append(intern(Category(name, features)))
 
     chart = Chart(len(terminals), grammar)
+    nodes = chart.nodes
+    by_start_name = chart._by_start_name
+    by_start = chart._by_start
     rules = grammar.rules
-    compiled = grammar.compiled
     rules_by_first = compiled.rules_by_first
+    rhs_names = compiled.rhs_names
+    heads = compiled.heads
+    last_dot = [len(names) - 1 for names in rhs_names]
+    categories = compiled.categories
     matches = compiled.matches
     parents = compiled.parents
 
-    active_seen: set[_ActiveEdge] = set()
-    active_waiting: dict[tuple[int, str], list[_ActiveEdge]] = {}
-    agenda: deque[_Node] = deque()
+    # Node ids by (category id, start, end), and per node id the category
+    # id and end that every advance reads; needed only while parsing.
+    by_key: dict[tuple[int, int, int], int] = {}
+    node_cat: list[int] = []
+    node_end: list[int] = []
+    # Every (rule index, children) pair made so far, active or complete:
+    # a pair fixes its edge, so a second sight of it adds nothing.
+    seen: set[Derivation] = set()
+    # Active edges as (rule index, start, children), keyed by the end
+    # position and the name of the category they need next.
+    waiting: dict[tuple[int, str], list[tuple[int, int, tuple[int, ...]]]] = {}
 
-    def enqueue(node: _Node | None) -> None:
-        if node is not None:
-            agenda.append(node)
+    def add_node(cat: int, start: int, end: int, deriv: Derivation) -> None:
+        node_id = len(nodes)
+        nodes.append(_Node(node_id, cat, start, end, [deriv], categories))
+        node_cat.append(cat)
+        node_end.append(end)
+        by_key[(cat, start, end)] = node_id
+        by_start_name.setdefault((start, categories[cat].name), []).append(node_id)
+        by_start.setdefault(start, []).append(node_id)
 
-    def advance(edge_rule: int, start: int, dot: int, children: tuple[int, ...], node: _Node) -> None:
-        rule = rules[edge_rule]
-        found = node.category
-        match_key = (edge_rule, dot, found.name, found.features)
+    def advance(rule: int, start: int, children: tuple[int, ...], node_id: int) -> None:
+        dot = len(children)
+        cat = node_cat[node_id]
+        match_key = (rule, dot, cat)
         matched = matches.get(match_key)
         if matched is None:
-            matched = matches[match_key] = features_match(rule.rhs[dot], found)
+            matched = matches[match_key] = features_match(rules[rule].rhs[dot], categories[cat])
         if not matched:
             return
-        new_children = children + (node.id,)
-        new_dot = dot + 1
-        end = node.end
-        if new_dot == len(rule.rhs):
-            head = chart.node(new_children[rule.head - 1]).category
-            parent_key = (edge_rule, head.name, head.features)
+        children += (node_id,)
+        edge = (rule, children)
+        if edge in seen:
+            return
+        seen.add(edge)
+        end = node_end[node_id]
+        if dot == last_dot[rule]:
+            head = node_cat[children[heads[rule]]]
+            parent_key = (rule, head)
             parent = parents.get(parent_key)
             if parent is None:
-                parent = parents[parent_key] = _parent_category(rule.lhs, head)
-            enqueue(chart._add(parent, start, end, (edge_rule, new_children)))
+                parent = parents[parent_key] = intern(
+                    _parent_category(rules[rule].lhs, categories[head])
+                )
+            packed = by_key.get((parent, start, end))
+            if packed is None:
+                add_node(parent, start, end, edge)
+            else:
+                nodes[packed].derivations.append(edge)
             return
-        edge = _ActiveEdge(edge_rule, start, end, new_dot, new_children)
-        if edge in active_seen:
-            return
-        active_seen.add(edge)
-        needed = rule.rhs[new_dot].name
-        active_waiting.setdefault((end, needed), []).append(edge)
-        # The fundamental rule with passives discovered earlier.
-        for passive in chart.passives_at(end, needed):
-            advance(edge.rule_index, edge.start, edge.dot, edge.children, passive)
+        needed = (end, rhs_names[rule][dot + 1])
+        waiting.setdefault(needed, []).append((rule, start, children))
+        # The fundamental rule with passives discovered earlier.  Nodes
+        # made below start at ``start`` < end, so this list cannot grow
+        # while it is walked.
+        for passive in by_start_name.get(needed, ()):
+            advance(rule, start, children, passive)
 
-    for i, category in enumerate(terminals):
-        enqueue(chart._add(category, i, i + 1, (None, ())))
+    for i, cat in enumerate(terminals):  # node i is the leaf at position i
+        add_node(cat, i, i + 1, (None, ()))
 
-    while agenda:
-        node = agenda.popleft()
-        for rule_idx in rules_by_first.get(node.category.name, ()):
-            advance(rule_idx, node.start, 0, (), node)
-        for edge in list(active_waiting.get((node.start, node.category.name), ())):
-            advance(edge.rule_index, edge.start, edge.dot, edge.children, node)
+    # The agenda is FIFO over new nodes, which is node id order.
+    node_id = 0
+    while node_id < len(nodes):
+        node = nodes[node_id]
+        name = categories[node.cat].name
+        for rule in rules_by_first.get(name, ()):
+            advance(rule, node.start, (), node_id)
+        # Edges made below wait at positions after node.start, so this
+        # list cannot grow while it is walked either.
+        for rule, start, children in waiting.get((node.start, name), ()):
+            advance(rule, start, children, node_id)
+        node_id += 1
 
+    # advance refers to itself; breaking that cycle frees the work
+    # tables now instead of at the next cyclic collection.
+    del advance
     return chart
 
 
@@ -377,10 +396,8 @@ def chunks(chart: Chart) -> list[ParseTree]:
                 out.append(tree)
                 pos = best.end
                 continue
-        leaf_id = chart._leaf_at.get(pos)
-        if leaf_id is not None:
-            leaf = chart.node(leaf_id)
-            out.append(ParseTree(leaf.category, leaf.start, leaf.end))
+        leaf = chart.node(pos)
+        out.append(ParseTree(leaf.category, leaf.start, leaf.end))
         pos += 1
     return out
 

@@ -17,6 +17,7 @@ indentation, so output bytes are stable across runs.
 
 from __future__ import annotations
 
+import threading
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -109,18 +110,45 @@ class CompiledGrammar:
     """Chart-parser tables for one grammar object, shared by all its parses.
 
     ``rules_by_first`` lists rule indices by the name of their first rhs
-    symbol.  The two memo tables fill as parses meet categories, each
-    keyed by a category's name and feature items: ``matches`` maps (rule
-    index, dot, category) to whether the category may fill rhs position
-    ``dot``, and ``parents`` maps (rule index, head category) to the
-    category of the completed edge, so each parent is built once.  They
-    grow with the distinct categories the input produces, not with its
-    length.
+    symbol; ``rhs_names`` and ``heads`` (0-based) give each rule's shape.
+    Categories are interned: :meth:`intern` gives each distinct category
+    (name plus feature items) a small int the first time a parse meets
+    it, and ``categories`` maps the id back to the :class:`Category`.
+    The two memo tables are keyed by those ints and fill as parses meet
+    categories: ``matches`` maps (rule index, dot, category id) to
+    whether the category may fill rhs position ``dot``, and ``parents``
+    maps (rule index, head category id) to the id of the completed
+    edge's category, so each parent is built once.  All of them grow
+    with the distinct categories the input produces, not with its
+    length.  Ids follow the order in which parses meet categories, so
+    they mean something only against this object's ``categories``.
     """
 
     rules_by_first: dict[str, tuple[int, ...]]
-    matches: dict[tuple, bool] = field(default_factory=dict)
-    parents: dict[tuple, Category] = field(default_factory=dict)
+    rhs_names: tuple[tuple[str, ...], ...]
+    heads: tuple[int, ...]
+    categories: list[Category] = field(default_factory=list)
+    category_ids: dict[tuple, int] = field(default_factory=dict)
+    matches: dict[tuple[int, int, int], bool] = field(default_factory=dict)
+    parents: dict[tuple[int, int], int] = field(default_factory=dict)
+    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
+
+    def intern(self, category: Category) -> int:
+        """The id of ``category``, assigned on first sight.
+
+        Parses on several threads may share one grammar, so a new id is
+        assigned under a lock and published only after its category is
+        in ``categories``.
+        """
+        key = (category.name, category.features)
+        cat_id = self.category_ids.get(key)
+        if cat_id is None:
+            with self._lock:
+                cat_id = self.category_ids.get(key)
+                if cat_id is None:
+                    self.categories.append(category)
+                    cat_id = self.category_ids[key] = len(self.categories) - 1
+        return cat_id
 
 
 @dataclass(frozen=True)
@@ -134,7 +162,11 @@ class Grammar:
         by_first: dict[str, list[int]] = {}
         for idx, rule in enumerate(self.rules):
             by_first.setdefault(rule.rhs[0].name, []).append(idx)
-        return CompiledGrammar({name: tuple(ids) for name, ids in by_first.items()})
+        return CompiledGrammar(
+            {name: tuple(ids) for name, ids in by_first.items()},
+            tuple(tuple(cat.name for cat in rule.rhs) for rule in self.rules),
+            tuple(rule.head - 1 for rule in self.rules),
+        )
 
     def lhs_names(self) -> set[str]:
         return {rule.lhs.name for rule in self.rules}

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -320,3 +322,30 @@ def test_warm_tables_build_the_cold_chart_with_features(seed):
         chart = parse(tags, grammar)
         assert node_list(chart) == node_list(parse(tags, cold(grammar)))
         assert_derivations_recheck(chart)
+
+
+def test_interned_ids_agree_across_threads():
+    # parses on several threads may share one grammar's tables; each
+    # category must get exactly one id, and that id must read it back
+    compiled = cold(AMBIG_NP).compiled
+    fresh = [Category("X", {"k": str(i)}) for i in range(300)]
+    got: dict[int, list[int]] = {}
+
+    def worker(n: int) -> None:
+        order = fresh[n * 7 :] + fresh[: n * 7]
+        ids = {c: compiled.intern(c) for c in order}
+        got[n] = [ids[c] for c in fresh]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(n,)) for n in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(got) == 4 and all(ids == got[0] for ids in got.values())
+    assert len(compiled.categories) == len(set(got[0])) == len(fresh)
+    assert [compiled.categories[i] for i in got[0]] == fresh
