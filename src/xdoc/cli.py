@@ -9,6 +9,7 @@ error, 2 input error, 3 analysis error in strict mode, 4 internal error
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -149,9 +150,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process: built on the first call of :func:`main`.
+
+    ``parse_args`` leaves the parser unchanged, so every ``main`` call
+    may share it.
+    """
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ResourceError as exc:

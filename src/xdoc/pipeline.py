@@ -27,8 +27,8 @@ from .parsing import ParseTree, chunks, complete_parses, parse
 from .resources import (
     ResourceBundle,
     _attrs,
+    _parse_bundle_bytes,
     _read_bundle_bytes,
-    loads_bundle,
     validate_bundle,
 )
 from .semantics import (
@@ -104,7 +104,7 @@ def _load_validated(path: str | Path) -> ResourceBundle:
     last = _last_valid
     if last is not None and last[0] == data:
         return last[1]
-    bundle = loads_bundle(data)
+    bundle = _parse_bundle_bytes(path, data)
     findings = validate_bundle(bundle)
     errors = [f for f in findings if f.severity == "error"]
     if errors:

@@ -672,6 +672,21 @@ def _read_bundle_bytes(path: str | Path) -> bytes:
         raise MalformedResource(str(path), f"cannot read bundle: {exc}") from None
 
 
+def _parse_bundle_bytes(path: str | Path, data: bytes) -> ResourceBundle:
+    """:func:`loads_bundle` on the bytes of the file at ``path``.
+
+    Errors about the document as a whole (not well-formed XML, wrong
+    root element) carry the file's path as their location, since they
+    name no element.
+    """
+    try:
+        return loads_bundle(data)
+    except MalformedResource as exc:
+        if exc.location != "document":
+            raise
+        raise MalformedResource(str(path), exc.reason) from None
+
+
 def load_bundle(path: str | Path) -> ResourceBundle:
     """Load and type-check one bundle file.
 
@@ -680,7 +695,7 @@ def load_bundle(path: str | Path) -> ResourceBundle:
     cycle.  No cross-section validation happens here.  Every call reads
     the file and returns a new bundle; nothing is cached.
     """
-    return loads_bundle(_read_bundle_bytes(path))
+    return _parse_bundle_bytes(path, _read_bundle_bytes(path))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,14 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import xdoc
+import xdoc.cli
 from xdoc.cli import main
 
 ASPIRIN = "Aspirin inhibits cyclooxygenase .\n"
@@ -256,3 +263,76 @@ def test_interrupt_is_not_caught(en_bio_path, tmp_path, monkeypatch):
     monkeypatch.setattr(xdoc.cli, "run_pipeline", interrupted)
     with pytest.raises(KeyboardInterrupt):
         main(["analyze", "--bundle", en_bio_path, "--input", _doc(tmp_path)])
+
+
+# Malformed bundles: every command that reads a bundle names the file.
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["validate", "{bundle}"],
+        ["analyze", "--bundle", "{bundle}", "--input", "{doc}"],
+        ["tag", "--bundle", "{bundle}", "--input", "{doc}"],
+        ["parse", "--bundle", "{bundle}", "--tags", "N V N"],
+    ],
+    ids=["validate", "analyze", "tag", "parse"],
+)
+@pytest.mark.parametrize("content", ["<resources", "<bundle/>"], ids=["truncated", "wrong-root"])
+def test_document_level_bundle_error_names_the_file(tmp_path, capsys, command, content):
+    bundle = tmp_path / "truncated.xml"
+    bundle.write_text(content, encoding="utf-8")
+    argv = [arg.format(bundle=bundle, doc=_doc(tmp_path)) for arg in command]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"resource error: {bundle}: ")
+    assert ("not well-formed XML" in captured.err) == (content == "<resources")
+    assert captured.err.count("\n") == 1
+
+
+# One argparse parser serves every main call in a process.
+
+
+def _fresh_process(argv: list[str]) -> tuple[int, str, str]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(xdoc.__file__).parent.parent) + os.pathsep + env.get(
+        "PYTHONPATH", ""
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "xdoc", *argv],
+        capture_output=True,
+        env=env,
+        stdin=subprocess.DEVNULL,
+    )
+    return done.returncode, done.stdout.decode("utf-8"), done.stderr.decode("utf-8")
+
+
+def _in_process(argv: list[str], capsys) -> tuple[int, str, str]:
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refusing the arguments
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_back_to_back_main_calls_match_fresh_processes(en_bio_path, de_core_path, tmp_path, capsys):
+    tags = tmp_path / "tags.tsv"  # the first sentence has an unmapped tag
+    tags.write_text("Foo\tFW\n\nAspirin\tNNP\ninhibits\tVBZ\ncyclooxygenase\tNN\n", encoding="utf-8")
+    doc = _doc(tmp_path)
+    calls = [
+        ["analyze", "--bundle", en_bio_path, "--external-tags", str(tags), "--lenient"],
+        ["analyze", "--bundle", en_bio_path, "--external-tags", str(tags)],
+        ["analyze", "--bundle", en_bio_path, "--input", doc, "--stages", "tok,sent,tag"],
+        ["analyze", "--bundle", en_bio_path, "--input", doc],
+        ["parse", "--bundle", en_bio_path, "--tags", "N V N"],
+        ["tag", "--bundle", en_bio_path, "--input", doc],
+        ["validate", en_bio_path],
+        ["analyze", "--bundle", en_bio_path, "--no-such-flag"],
+        ["validate", de_core_path],
+        ["analyze", "--bundle", en_bio_path, "--external-tags", str(tags), "--lenient"],
+    ]
+    in_process = [_in_process(argv, capsys) for argv in calls]
+    assert [code for code, _, _ in in_process] == [0, 3, 0, 0, 0, 0, 0, 2, 0, 0]
+    assert in_process == [_fresh_process(argv) for argv in calls]
+    assert xdoc.cli._parser() is xdoc.cli._parser()
