@@ -346,6 +346,7 @@ def test_interned_ids_agree_across_threads():
             t.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     assert len(got) == 4 and all(ids == got[0] for ids in got.values())
     assert len(compiled.categories) == len(set(got[0])) == len(fresh)
     assert [compiled.categories[i] for i in got[0]] == fresh
