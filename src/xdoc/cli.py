@@ -90,17 +90,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_tag(args: argparse.Namespace) -> int:
     stages = STAGES[:4]  # tok, sent, tag, map
     doc = run_pipeline(args.bundle, _read_text(args.input), stages=stages, lenient=True)
-    blocks = []
-    for analysis in doc.sentences:
-        mapped = {t.token.id: t for t in analysis.parse_input or ()}
-        lines = []
-        for t in analysis.tagged or ():
-            parser_tag = mapped.get(t.token.id)
-            lines.append(
-                f"{t.token.form}\t{t.source_tag}\t"
-                f"{parser_tag.parser_tag if parser_tag else ''}"
-            )
-        blocks.append("\n".join(lines))
+    blocks = [
+        "\n".join(f"{t.token.form}\t{t.source_tag}\t{t.parser_tag or ''}" for t in a.tagged)
+        for a in doc.sentences
+    ]
     if blocks:
         print("\n\n".join(blocks))
     return EXIT_OK

@@ -72,17 +72,14 @@ class ParseTree:
         return node
 
     def leaf_positions(self) -> list[int]:
-        if not self.children:
-            return [self.start]
-        out: list[int] = []
-        for child in self.children:
-            out.extend(child.leaf_positions())
-        return out
+        return [node.start for node in self.preorder() if node.is_leaf]
 
     def preorder(self) -> Iterator["ParseTree"]:
-        yield self
-        for child in self.children:
-            yield from child.preorder()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
 
 @dataclass(slots=True)
@@ -130,9 +127,6 @@ class Chart:
 
     def node(self, node_id: int) -> _Node:
         return self.nodes[node_id]
-
-    def passives_at(self, start: int, name: str) -> list[_Node]:
-        return [self.nodes[i] for i in self._by_start_name.get((start, name), ())]
 
     def passives_from(self, start: int) -> list[_Node]:
         return [self.nodes[i] for i in self._by_start.get(start, ())]
@@ -253,13 +247,24 @@ def parse(
     return chart
 
 
-def _sorted_derivations(chart: Chart, node: _Node) -> list[Derivation]:
-    def key(deriv: Derivation):
+def _sorted_derivations(chart: Chart, node: _Node) -> Iterator[Derivation]:
+    """Derivations by rule index, then child spans, ties in chart order.
+
+    Past the least one, which is all :func:`_first_tree` needs unless a
+    cycle blocks it, the derivations are sorted only when asked for.
+    """
+    derivations = node.derivations
+    if len(derivations) == 1:
+        yield derivations[0]
+        return
+    keys = {}
+    for deriv in derivations:
         rule_idx, children = deriv
         spans = tuple((chart.node(c).start, chart.node(c).end) for c in children)
-        return (-1 if rule_idx is None else rule_idx, spans)
-
-    return sorted(node.derivations, key=key)
+        keys[deriv] = (-1 if rule_idx is None else rule_idx, spans)
+    # min and a stable sort both put the first least entry in chart order first.
+    yield min(derivations, key=keys.__getitem__)
+    yield from sorted(derivations, key=keys.__getitem__)[1:]
 
 
 def _count_trees(chart: Chart, node: _Node, memo: dict[int, int], path: set[int]) -> int:

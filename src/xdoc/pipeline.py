@@ -4,10 +4,13 @@ Stages run in a fixed order: tok, sent, tag, map, parse, sem, frames,
 rel.  A run selects a prefix of that order.  Sentences reach the stage
 loop from one of two segmenters: the tokenizer and sentence splitter
 for raw text, or the import adapter for an external tag file, whose
-sentences arrive already tagged and so skip tok, sent and tag.  Strict
-runs abort on the first analysis error; lenient runs record a
+tags stand for the tag stage's output; the stage loop alone decides
+what a prefix keeps, so a prefix means the same for both inputs.
+Strict runs abort on the first analysis error; lenient runs record a
 diagnostic on the failing sentence and continue with the rest.
 
+A sentence's ``tagged`` holds every token with all its annotations so
+far, and ``parse_input`` is its word subsequence, the same objects.
 Pure punctuation tokens are tagged like everything else but excluded
 from mapping, parsing and semantics: tagset maps cover word classes,
 and sentence terminators carry no constituent structure.
@@ -69,6 +72,10 @@ def check_stages(stages: Iterable[str]) -> tuple[str, ...]:
 
 @dataclass
 class SentenceAnalysis:
+    """One sentence's analysis.  ``tagged`` holds every token with all its
+    annotations so far; ``parse_input``, set by the map stage, is its word
+    subsequence, made of the same objects."""
+
     sentence: Sentence
     tagged: tuple[TaggedToken, ...] | None = None
     parse_input: tuple[TaggedToken, ...] | None = None
@@ -128,6 +135,13 @@ def _frame_relations(frames: Sequence[FrameInstance], bundle: ResourceBundle) ->
     return out
 
 
+def _annotate(analysis: SentenceAnalysis, words: Sequence[TaggedToken]) -> None:
+    """Put annotated words in place in ``tagged``; nothing else writes them back."""
+    fresh = iter(words)
+    analysis.tagged = tuple(t if is_punctuation(t.token.form) else next(fresh) for t in analysis.tagged)
+    analysis.parse_input = tuple(words)
+
+
 def _analyze_sentence(
     analysis: SentenceAnalysis,
     bundle: ResourceBundle,
@@ -135,11 +149,13 @@ def _analyze_sentence(
     lenient: bool,
 ) -> None:
     """Run the per-sentence stages in place, honoring the stage prefix."""
-    if "tag" in stages and analysis.tagged is None:
-        tagged = initial_tag(analysis.sentence, bundle)
-        analysis.tagged = tuple(apply_rules(tagged, bundle.context_rules))
+    if "tag" not in stages:
+        analysis.tagged = None
+        return
+    if analysis.tagged is None:
+        analysis.tagged = tuple(apply_rules(initial_tag(analysis.sentence, bundle), bundle.context_rules))
 
-    if "map" not in stages or analysis.tagged is None:
+    if "map" not in stages:
         return
     words = [t for t in analysis.tagged if not is_punctuation(t.token.form)]
     try:
@@ -150,7 +166,7 @@ def _analyze_sentence(
         analysis.failed = True
         analysis.diagnostics += (Diagnostic("UnmappedTag", str(exc)),)
         return
-    analysis.parse_input = tuple(mapped)
+    _annotate(analysis, mapped)
 
     if "parse" in stages and mapped:
         chart = parse([(t.parser_tag, {}) for t in mapped], bundle.grammar)
@@ -165,14 +181,12 @@ def _analyze_sentence(
         if analysis.tree is None:
             analysis.chunk_trees = tuple(chunks(chart))
 
-    if "sem" in stages and analysis.parse_input is not None:
-        analysis.parse_input = tuple(semantic_tag(analysis.parse_input, bundle))
-        enriched = {t.token.id: t for t in analysis.parse_input}
-        analysis.tagged = tuple(enriched.get(t.token.id, t) for t in analysis.tagged)
+    if "sem" in stages:
+        _annotate(analysis, semantic_tag(analysis.parse_input, bundle))
 
     trees = [analysis.tree] if analysis.tree is not None else list(analysis.chunk_trees)
 
-    if "frames" in stages and analysis.parse_input is not None:
+    if "frames" in stages:
         instances: list[FrameInstance] = []
         for tree in trees:
             found, diags = instantiate_frames(tree, analysis.parse_input, bundle)
@@ -180,7 +194,7 @@ def _analyze_sentence(
             analysis.diagnostics += tuple(diags)
         analysis.frames = tuple(instances)
 
-    if "rel" in stages and analysis.parse_input is not None:
+    if "rel" in stages:
         relations = _frame_relations(analysis.frames, bundle)
         for tree in trees:
             relations.extend(
@@ -196,7 +210,9 @@ def _run_stages(
     stages: tuple[str, ...],
     lenient: bool,
 ) -> AnnotatedDocument:
-    """The stage loop: run the per-sentence stages over segmented sentences."""
+    """The stage loop and its one gate: what a prefix keeps is decided here."""
+    if "sent" not in stages:
+        sentences = []
     for analysis in sentences:
         _analyze_sentence(analysis, bundle, stages, lenient)
     return AnnotatedDocument(bundle.lang, tuple(tokens), sentences)
@@ -210,9 +226,9 @@ def analyze_text(
     lenient: bool = False,
 ) -> AnnotatedDocument:
     """Run the stage prefix over raw text with an already loaded bundle."""
-    stages = check_stages(stages)  # every prefix starts with tok
+    stages = check_stages(stages)
     tokens, sentences = segment(text, bundle.abbreviations)
-    analyses = [SentenceAnalysis(s) for s in sentences] if "sent" in stages else []
+    analyses = [SentenceAnalysis(s) for s in sentences]
     return _run_stages(bundle, tokens, analyses, stages, lenient)
 
 
@@ -242,11 +258,9 @@ def run_pipeline(
     bundle = _load_validated(bundle_path)
     if text is not None:
         return analyze_text(bundle, text, stages=stages, lenient=lenient)
-    # Imported sentences arrive tokenized, split and tagged whatever the prefix.
-    imported = import_external_tags(external_tags)
     analyses = [
         SentenceAnalysis(Sentence(i, tuple(t.token for t in sent)), tagged=tuple(sent))
-        for i, sent in enumerate(imported)
+        for i, sent in enumerate(import_external_tags(external_tags))
     ]
     tokens = [t for a in analyses for t in a.sentence.tokens]
     return _run_stages(bundle, tokens, analyses, stages, lenient)
@@ -297,12 +311,10 @@ def emit_xml(doc: AnnotatedDocument) -> str:
     lines = [f"<document{_attrs([('lang', doc.lang)])}>"]
     for index, analysis in enumerate(doc.sentences):
         lines.append(f'  <sentence id="{_sid(index)}">')
-        annotations = (
-            {t.token.id: t for t in analysis.tagged} if analysis.tagged else {}
-        )
         lines.append("    <tokens>")
-        for token in analysis.sentence.tokens:
-            lines.append(_token_line(token, annotations.get(token.id), "      "))
+        annotations = analysis.tagged or [None] * len(analysis.sentence.tokens)
+        for token, annotated in zip(analysis.sentence.tokens, annotations):
+            lines.append(_token_line(token, annotated, "      "))
         lines.append("    </tokens>")
         if analysis.tree is not None and analysis.parse_input:
             lines.append("    <parse>")
@@ -337,30 +349,14 @@ def emit_xml(doc: AnnotatedDocument) -> str:
 
 def export_relations(doc: AnnotatedDocument) -> str:
     """Tab-separated relation table, one row per extracted relation."""
-    token_index: dict[int, TaggedToken] = {}
-    for analysis in doc.sentences:
-        for t in analysis.parse_input or ():
-            token_index[t.token.id] = t
-        for t in analysis.tagged or ():
-            token_index.setdefault(t.token.id, t)
-
     lines = ["relation\targ1_form\targ1_concept\targ2_form\targ2_concept\tsentence_id"]
     for index, analysis in enumerate(doc.sentences):
+        # Token ids run on through a sentence, which holds its relations' arguments.
+        first = analysis.sentence.tokens[0].id
         for relation in analysis.relations:
-            arg1 = token_index.get(relation.arg1)
-            arg2 = token_index.get(relation.arg2)
-            if arg1 is None or arg2 is None:
-                continue
-            lines.append(
-                "\t".join(
-                    [
-                        relation.name,
-                        arg1.token.form,
-                        arg1.concept or "",
-                        arg2.token.form,
-                        arg2.concept or "",
-                        _sid(index),
-                    ]
-                )
-            )
+            arg1 = analysis.tagged[relation.arg1 - first]
+            arg2 = analysis.tagged[relation.arg2 - first]
+            row = (relation.name, arg1.token.form, arg1.concept or "",
+                   arg2.token.form, arg2.concept or "", _sid(index))
+            lines.append("\t".join(row))
     return "\n".join(lines) + "\n"

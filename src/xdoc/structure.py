@@ -25,6 +25,7 @@ __all__ = [
 ]
 
 PUNCTUATION = frozenset(".,;:!?()\"'")
+_PUNCTUATION_CHARS = "".join(sorted(PUNCTUATION))  # the same set, as str.strip takes it
 TERMINATORS = frozenset(".!?")
 
 _RUN = re.compile(r"\S+")
@@ -46,7 +47,7 @@ class Sentence:
 
 
 def is_punctuation(form: str) -> bool:
-    return bool(form) and all(ch in PUNCTUATION for ch in form)
+    return bool(form) and not form.strip(_PUNCTUATION_CHARS)  # empty iff all punctuation
 
 
 def _blen(s: str) -> int:

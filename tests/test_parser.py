@@ -12,6 +12,7 @@ from cyk_oracle import brute_force_spans, chart_spans, count_bracketings
 from grammargen import TERMINAL_POOL, feature_tags, random_case, to_grammar
 from xdoc.errors import EmptyInput, TooAmbiguous
 from xdoc.parsing import (
+    ParseTree,
     _parent_category,
     chunks,
     complete_parses,
@@ -108,6 +109,20 @@ def test_trees_rederive_their_span():
     for tree in complete_parses(parse(["N"] * 4, AMBIG_NP), "NP"):
         for node in tree.preorder():
             assert node.leaf_positions() == list(range(node.start, node.end))
+
+
+def test_tree_walks_survive_deep_trees():
+    # Right-branching: node i spans [i, depth + 1) with children (leaf i, node i + 1).
+    depth = 5000
+    bottom = tree = ParseTree(Category("N"), depth, depth + 1)
+    levels = []
+    for i in reversed(range(depth)):
+        leaf = ParseTree(Category("N"), i, i + 1)
+        tree = ParseTree(Category("NP"), i, depth + 1, (leaf, tree))
+        levels.append((tree, leaf))
+    expected = [node for level in reversed(levels) for node in level] + [bottom]
+    assert [id(node) for node in tree.preorder()] == [id(node) for node in expected]
+    assert tree.leaf_positions() == list(range(depth + 1))
 
 
 def test_feature_matching_requires_shared_keys_to_agree():

@@ -76,6 +76,36 @@ def test_prefix_runs_agree_with_full_run(en_bio):
                 assert got.relations == want.relations
 
 
+def builtin_tags_file(bundle, text, tmp_path):
+    """A tag file holding the built-in tagger's own tags for ``text``."""
+    doc = analyze_text(bundle, text, stages=STAGES[:3])
+    blocks = ["".join(f"{t.token.form}\t{t.source_tag}\n" for t in a.tagged) for a in doc.sentences]
+    return external_tags_file(tmp_path, "\n".join(blocks))
+
+
+@pytest.mark.parametrize("k", range(1, len(STAGES) + 1))
+def test_prefix_means_the_same_for_text_and_tag_file(en_bio, en_bio_path, tmp_path, k):
+    tags = builtin_tags_file(en_bio, ASPIRIN, tmp_path)
+    from_text = run_pipeline(en_bio_path, ASPIRIN, stages=STAGES[:k])
+    from_tags = run_pipeline(en_bio_path, external_tags=tags, stages=STAGES[:k])
+    assert emit_xml(from_tags) == emit_xml(from_text)
+    if "sent" not in STAGES[:k]:
+        assert from_text.sentences == from_tags.sentences == []
+
+
+def test_map_prefix_shows_parser_tags(en_bio, en_bio_path, tmp_path):
+    tags = builtin_tags_file(en_bio, ASPIRIN, tmp_path)
+    for k in range(STAGES.index("map") + 1, STAGES.index("sem") + 1):
+        for doc in (
+            run_pipeline(en_bio_path, ASPIRIN, stages=STAGES[:k]),
+            run_pipeline(en_bio_path, external_tags=tags, stages=STAGES[:k]),
+        ):
+            xml = emit_xml(doc)
+            assert re.search(r'<t id="0" [^>]*form="Aspirin" tag0="NN" tag="N"/>', xml), xml
+            analysis = doc.sentences[0]  # words first, then the period
+            assert list(map(id, analysis.parse_input)) == list(map(id, analysis.tagged[:-1]))
+
+
 def test_punctuation_tokens_are_tagged_but_not_parsed(en_bio):
     doc = analyze_text(en_bio, ASPIRIN)
     analysis = doc.sentences[0]

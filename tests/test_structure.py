@@ -9,6 +9,7 @@ from xdoc.structure import (
     PUNCTUATION,
     Sentence,
     Token,
+    is_punctuation,
     paragraph_breaks,
     segment,
     split_sentences,
@@ -234,3 +235,8 @@ def test_segment_matches_naive_reference(text, abbrevs):
     tokens, sentences, breaks = _reference_segment(text, abbrevs)
     assert paragraph_breaks(text) == breaks
     assert segment(text, abbrevs) == (tokens, sentences)
+
+
+@given(st.text(alphabet=st.sampled_from(sorted(PUNCTUATION) + list("aZ1ä .-"))))
+def test_is_punctuation_matches_character_test(form):
+    assert is_punctuation(form) == (bool(form) and all(ch in PUNCTUATION for ch in form))
