@@ -293,6 +293,120 @@ def test_malformed_documents_are_rejected_with_reason(document, fragment):
     assert fragment.lower() in str(exc.value).lower()
 
 
+def _in_bundle(sections: str) -> str:
+    return f'<resources lang="en">{sections}</resources>'
+
+
+# Every BAD_DOCUMENTS entry and more single-fault documents, with the
+# exact message (location and reason) the loader gives for each.
+EXACT_MESSAGES = [
+    *zip(
+        [document for document, _ in BAD_DOCUMENTS],
+        [
+            "document: root element must be <resources>, got <notresources>",
+            "resources: lang must be non-empty",
+            "resources: duplicate section <abbreviations>",
+            "taglexicon/w[1]: empty tag list",
+            "taglexicon/w[2]: duplicate form 'a'",
+            "rules/rule[1]: from and to tags must differ",
+            "rules/rule[1]: unknown trigger 'sideways'",
+            "rules/rule[1]: trigger value must be non-empty",
+            "tagmap/map[2]: duplicate mapping for source tag 'A'",
+            "grammar: unknown gf mode 'sideways'",
+            "grammar/rule[1]: attribute 'head' is not an integer: 'x'",
+            "grammar: start symbol 'X' is not a rule left-hand side",
+            "grammar/rule[1]/cat[1]: feature keys ['lhs'] are reserved",
+            "lemmarules/lemrule[1]: empty strip suffix",
+            "lemmarules/lemrule[1]: minstem must be non-negative",
+            "frames/frame[1]/slot[1]: unknown grammatical function 'sideways'",
+            "frames/frame[1]/slot[2]: duplicate role 'a'",
+            "frames/frame[1]/slot[2]: more than one slot with gf 'subject'",
+            "frames/frame[1]/slot[1]: attribute 'required' must be 'true' or 'false', got 'maybe'",
+            "ontology/concept[2]: duplicate concept 'a'",
+            "ontology/lexmap[2]: duplicate lexmap for semclass 's'",
+            "structmap/pattern[1]: argument indices must be distinct",
+            "structmap/pattern[1]: argument indices outside pattern bounds",
+        ],
+        strict=True,
+    ),
+    (
+        _in_bundle('<rules><rule from="A" to="B" trigger="prev_tag"/></rules>'),
+        "rules/rule[1]: missing required attribute 'value'",
+    ),
+    (
+        _in_bundle('<grammar start="S"><rule head="1"><cat name="A"/></rule></grammar>'),
+        "grammar/rule[1]: missing required attribute 'lhs'",
+    ),
+    (
+        _in_bundle('<lemmarules><lemrule strip="s"/></lemmarules>'),
+        "lemmarules/lemrule[1]: missing required attribute 'minstem'",
+    ),
+    (
+        _in_bundle('<semlex><entry lemma="a" semclass="c"/></semlex>'),
+        "semlex/entry[1]: missing required attribute 'pos'",
+    ),
+    (
+        _in_bundle(
+            '<frames><frame id="f" predicate="p" relation="r">'
+            '<slot role="a" gf="subject" required="true"/></frame></frames>'
+        ),
+        "frames/frame[1]/slot[1]: missing required attribute 'fill'",
+    ),
+    (
+        _in_bundle(
+            '<frames><frame id="f" relation="r">'
+            '<slot role="a" gf="subject" fill="c" required="true"/></frame></frames>'
+        ),
+        "frames/frame[1]: missing required attribute 'predicate'",
+    ),
+    (
+        _in_bundle(
+            '<structmap><pattern id="p" relation="r" arg1="1" arg2="2">'
+            '<m name="A"/><m name="B"/></pattern></structmap>'
+        ),
+        "structmap/pattern[1]: missing required attribute 'cat'",
+    ),
+    (
+        _in_bundle(
+            '<structmap><pattern id="p" cat="NP" relation="r" arg1="1" arg2="2">'
+            '<m name="A"/><m form="b"/></pattern></structmap>'
+        ),
+        "structmap/pattern[1]/m[2]: missing required attribute 'name'",
+    ),
+    (
+        _in_bundle('<lemmarules><lemrule strip="s" minstem="two"/></lemmarules>'),
+        "lemmarules/lemrule[1]: attribute 'minstem' is not an integer: 'two'",
+    ),
+    (
+        _in_bundle(
+            '<structmap><pattern id="p" cat="NP" relation="r" arg1="first" arg2="2">'
+            '<m name="A"/><m name="B"/></pattern></structmap>'
+        ),
+        "structmap/pattern[1]: attribute 'arg1' is not an integer: 'first'",
+    ),
+    (
+        _in_bundle(
+            '<grammar start="S"><rule lhs="S" name="x" head="1"><cat name="A"/></rule></grammar>'
+        ),
+        "grammar/rule[1]: feature key 'name' is reserved",
+    ),
+    (
+        _in_bundle(
+            '<semlex><entry lemma="a" pos="N" semclass="c"/>'
+            '<entry lemma="a" pos="N" semclass="d"/></semlex>'
+        ),
+        "semlex/entry[2]: duplicate entry for ('a', 'N')",
+    ),
+]
+
+
+@pytest.mark.parametrize("document,message", EXACT_MESSAGES)
+def test_malformed_document_messages_are_exact(document, message):
+    with pytest.raises(MalformedResource) as exc:
+        loads_bundle(document)
+    assert str(exc.value) == message
+
+
 def test_unary_cycle_not_involving_all_rules():
     doc = """<resources lang="en">
       <tagmap><map from="T" to="A"/></tagmap>
