@@ -13,17 +13,22 @@ tagset map) is a separate pass, :func:`validate_bundle`, so that
 authoring tools may load partial bundles.  :func:`serialize_bundle`
 writes a canonical form: fixed attribute order, sorted map keys, fixed
 indentation, so output bytes are stable across runs.
+
+The XML form is written down once, under "The XML form" below: a record
+table gives each record element's attributes, and a section table gives
+every section's reader and writer in canonical order.  The loader and
+the writer both work from these two tables.
 """
 
 from __future__ import annotations
 
 import threading
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import CyclicOntology, MalformedResource
 
@@ -47,9 +52,11 @@ __all__ = [
     "serialize_bundle",
 ]
 
-TRIGGERS = frozenset(
-    {"prev_tag", "next_tag", "prev2_tag", "next2_tag", "prev_word", "next_word"}
-)
+# Where each context-rule trigger looks, as an offset from the token it
+# may retag: ``*_tag`` triggers test the tag there, ``*_word`` the form.
+_TRIGGER_OFFSETS = {"prev_tag": -1, "next_tag": 1, "prev2_tag": -2, "next2_tag": 2,
+                    "prev_word": -1, "next_word": 1}
+TRIGGERS = frozenset(_TRIGGER_OFFSETS)
 GF_MODES = frozenset({"positional", "case-marked"})
 GF_SLOTS = frozenset({"subject", "object"})
 
@@ -199,6 +206,12 @@ class LemmaRule:
     strip: str
     min_stem_len: int
 
+    def __post_init__(self) -> None:
+        if not self.strip:
+            raise ValueError("empty strip suffix")
+        if self.min_stem_len < 0:
+            raise ValueError("minstem must be non-negative")
+
 
 @dataclass(frozen=True)
 class SemLexEntry:
@@ -213,6 +226,10 @@ class FrameSlot:
     gf: str
     fill_concept: str
     required: bool
+
+    def __post_init__(self) -> None:
+        if self.gf not in GF_SLOTS:
+            raise ValueError(f"unknown grammatical function {self.gf!r}")
 
 
 @dataclass(frozen=True)
@@ -304,7 +321,10 @@ class ResourceBundle:
 
 
 # ---------------------------------------------------------------------------
-# Loading
+# The XML form
+#
+# One helper reads and one writes every record from the record table.
+# The other sections have hand-written readers and writers, side by side.
 
 
 def _require(elem: ET.Element, attr: str, location: str) -> str:
@@ -316,12 +336,11 @@ def _require(elem: ET.Element, attr: str, location: str) -> str:
 
 def _children(elem: ET.Element, allowed: Iterable[str], location: str) -> list[ET.Element]:
     allowed = set(allowed)
-    out = []
-    for child in elem:
+    children = list(elem)
+    for child in children:
         if child.tag not in allowed:
             raise MalformedResource(location, f"unexpected element <{child.tag}>")
-        out.append(child)
-    return out
+    return children
 
 
 def _int_attr(elem: ET.Element, attr: str, location: str) -> int:
@@ -341,14 +360,125 @@ def _bool_attr(elem: ET.Element, attr: str, location: str) -> bool:
     raise MalformedResource(location, f"attribute {attr!r} must be 'true' or 'false', got {raw!r}")
 
 
-def _load_abbreviations(elem: ET.Element, location: str) -> frozenset[str]:
+# Attribute readers by the annotation text of the field they fill.
+_READERS = {"str": _require, "int": _int_attr, "bool": _bool_attr,
+            "str | None": lambda elem, attr, location: elem.get(attr)}
+
+
+def _esc(value: str) -> str:
+    value = (
+        value.replace("&", "&amp;")
+        .replace("<", "&lt;")
+        .replace(">", "&gt;")
+        .replace('"', "&quot;")
+    )
+    return value.replace("\t", "&#9;").replace("\n", "&#10;").replace("\r", "&#13;")
+
+
+def _attrs(pairs: Iterable[tuple[str, str]]) -> str:
+    return "".join(f' {key}="{_esc(value)}"' for key, value in pairs)
+
+
+def _attr_text(value: object) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+class _Record(NamedTuple):
+    """A record element: its tag, the class it builds, and its
+    (attribute, field, reader) triples in canonical attribute order."""
+
+    tag: str
+    cls: type
+    attrs: tuple[tuple[str, str, Callable[[ET.Element, str, str], object]], ...]
+
+
+def _record(tag: str, cls: type, **attrs: str) -> _Record:
+    """Declare ``tag`` from field=attribute pairs, binding each reader once."""
+    types = {f.name: f.type for f in fields(cls)}
+    triples = ((attr, name, _READERS[types[name]]) for name, attr in attrs.items())
+    return _Record(tag, cls, tuple(triples))
+
+
+# The record table.  Frames and patterns declare their header attributes
+# here; their slots and items come from their child elements.
+_CONTEXT_RULE = _record(
+    "rule", ContextRule, from_tag="from", to_tag="to", trigger="trigger", trigger_value="value"
+)
+_LEMMA_RULE = _record("lemrule", LemmaRule, strip="strip", min_stem_len="minstem")
+_SEMLEX_ENTRY = _record("entry", SemLexEntry, lemma="lemma", pos="pos", semclass="semclass")
+_FRAME_SLOT = _record(
+    "slot", FrameSlot, role="role", gf="gf", fill_concept="fill", required="required"
+)
+_CASE_FRAME = _record("frame", CaseFrame, id="id", predicate_lemma="predicate", relation="relation")
+_PATTERN_ITEM = _record("m", PatternItem, name="name", form="form")
+_STRUCT_PATTERN = _record(
+    "pattern", StructPattern,
+    id="id", constituent_cat="cat", relation="relation", arg1="arg1", arg2="arg2",
+)
+
+
+def _read_records(elem: ET.Element, location: str, record: _Record, read_children=None) -> Iterator:
+    """Each child of ``elem`` built as a ``record``, with its location.
+
+    ``read_children(child, location)`` gives the fields that a record
+    reads from its own child elements.
+    """
+    for i, child in enumerate(_children(elem, (record.tag,), location), 1):
+        loc = f"{location}/{record.tag}[{i}]"
+        values = {}
+        for attr, name, read in record.attrs:
+            values[name] = read(child, attr, loc)
+        if read_children is not None:
+            values.update(read_children(child, loc))
+        try:
+            item = record.cls(**values)
+        except ValueError as exc:
+            raise MalformedResource(loc, str(exc)) from None
+        yield item, loc
+
+
+def _write_record(record: _Record, item: object, body: str | None = None) -> str:
+    """``item`` as its record element, with ``body`` as its content if given."""
+    values = ((attr, getattr(item, name)) for attr, name, _ in record.attrs)
+    pairs = [(attr, _attr_text(value)) for attr, value in values if value is not None]
+    start = f"<{record.tag}{_attrs(pairs)}"
+    return f"{start}/>" if body is None else f"{start}>{body}</{record.tag}>"
+
+
+def _section(tag: str, items: list[str], attrs: Sequence[tuple[str, str]] = ()) -> list[str]:
+    """A section's lines around ``items``; none when it has no items and no attributes."""
+    if not items and not attrs:
+        return []
+    return [f"  <{tag}{_attrs(attrs)}>", *(f"    {item}" for item in items), f"  </{tag}>"]
+
+
+def _record_section(tag: str, field_name: str, record: _Record) -> tuple:
+    """The section table entry of a section that holds only ``record`` elements."""
+
+    def read(elem: ET.Element, location: str) -> dict:
+        return {field_name: tuple(item for item, _ in _read_records(elem, location, record))}
+
+    def write(bundle: ResourceBundle) -> list[str]:
+        return _section(tag, [_write_record(record, item) for item in getattr(bundle, field_name)])
+
+    return tag, read, write
+
+
+def _read_abbreviations(elem: ET.Element, location: str) -> dict:
     forms = set()
     for i, child in enumerate(_children(elem, {"abbr"}, location), 1):
         forms.add(_require(child, "form", f"{location}/abbr[{i}]"))
-    return frozenset(forms)
+    return {"abbreviations": frozenset(forms)}
 
 
-def _load_taglexicon(elem: ET.Element, location: str):
+def _write_abbreviations(bundle: ResourceBundle) -> list[str]:
+    forms = sorted(bundle.abbreviations)
+    return _section("abbreviations", [f"<abbr{_attrs([('form', form)])}/>" for form in forms])
+
+
+def _read_taglexicon(elem: ET.Element, location: str) -> dict:
     entries: dict[str, tuple[str, ...]] = {}
     for i, child in enumerate(_children(elem, {"w"}, location), 1):
         loc = f"{location}/w[{i}]"
@@ -359,28 +489,23 @@ def _load_taglexicon(elem: ET.Element, location: str):
         if form in entries:
             raise MalformedResource(loc, f"duplicate form {form!r}")
         entries[form] = tags
-    return entries, elem.get("default"), elem.get("capitalized")
+    default, capitalized = elem.get("default"), elem.get("capitalized")
+    return {"tag_lexicon": entries, "default_tag": default, "capitalized_tag": capitalized}
 
 
-def _load_context_rules(elem: ET.Element, location: str) -> tuple[ContextRule, ...]:
-    rules = []
-    for i, child in enumerate(_children(elem, {"rule"}, location), 1):
-        loc = f"{location}/rule[{i}]"
-        try:
-            rules.append(
-                ContextRule(
-                    from_tag=_require(child, "from", loc),
-                    to_tag=_require(child, "to", loc),
-                    trigger=_require(child, "trigger", loc),
-                    trigger_value=_require(child, "value", loc),
-                )
-            )
-        except ValueError as exc:
-            raise MalformedResource(loc, str(exc)) from None
-    return tuple(rules)
+def _write_taglexicon(bundle: ResourceBundle) -> list[str]:
+    tags = (("default", bundle.default_tag), ("capitalized", bundle.capitalized_tag))
+    attrs = [(attr, tag) for attr, tag in tags if tag is not None]
+    if not bundle.tag_lexicon:
+        return [f"  <taglexicon{_attrs(attrs)}/>"] if attrs else []
+    words = [
+        f"<w{_attrs([('form', form), ('tags', ' '.join(bundle.tag_lexicon[form]))])}/>"
+        for form in sorted(bundle.tag_lexicon)
+    ]
+    return _section("taglexicon", words, attrs)
 
 
-def _load_tagmap(elem: ET.Element, location: str):
+def _read_tagmap(elem: ET.Element, location: str) -> dict:
     mapping: dict[str, str] = {}
     for i, child in enumerate(_children(elem, {"map"}, location), 1):
         loc = f"{location}/map[{i}]"
@@ -389,13 +514,27 @@ def _load_tagmap(elem: ET.Element, location: str):
         if src in mapping:
             raise MalformedResource(loc, f"duplicate mapping for source tag {src!r}")
         mapping[src] = dst
-    return mapping, elem.get("source", "")
+    return {"tagset_map": mapping, "tagset_source": elem.get("source", "")}
 
 
-def _load_category(elem: ET.Element, location: str, reserved: frozenset[str]) -> Category:
+def _write_tagmap(bundle: ResourceBundle) -> list[str]:
+    attrs = [("source", bundle.tagset_source)] if bundle.tagset_source else []
+    maps = [
+        f"<map{_attrs([('from', src), ('to', bundle.tagset_map[src])])}/>"
+        for src in sorted(bundle.tagset_map)
+    ]
+    return _section("tagmap", maps, attrs)
+
+
+# Feature keys that a grammar category cannot carry: a <rule> element's
+# own attributes and a <cat> element's name.
+_RULE_RESERVED = frozenset({"lhs", "head", "name"})
+
+
+def _read_category(elem: ET.Element, location: str) -> Category:
     name = _require(elem, "name", location)
     features = {k: v for k, v in elem.attrib.items() if k != "name"}
-    bad = set(features) & reserved
+    bad = set(features) & _RULE_RESERVED
     if bad:
         raise MalformedResource(location, f"feature keys {sorted(bad)} are reserved")
     try:
@@ -404,10 +543,14 @@ def _load_category(elem: ET.Element, location: str, reserved: frozenset[str]) ->
         raise MalformedResource(location, str(exc)) from None
 
 
-_RULE_RESERVED = frozenset({"lhs", "head", "name"})
+def _features(cat: Category) -> tuple[tuple[str, str], ...]:
+    """``cat``'s features as attributes; a reserved key cannot be written."""
+    if any(k in _RULE_RESERVED for k, _ in cat.features):
+        raise ValueError(f"category {cat!r} uses a reserved feature key")
+    return cat.features
 
 
-def _load_grammar(elem: ET.Element, location: str):
+def _read_grammar(elem: ET.Element, location: str) -> dict:
     gf_mode = elem.get("gf", "positional")
     if gf_mode not in GF_MODES:
         raise MalformedResource(location, f"unknown gf mode {gf_mode!r}")
@@ -417,13 +560,11 @@ def _load_grammar(elem: ET.Element, location: str):
         loc = f"{location}/rule[{i}]"
         lhs_name = _require(child, "lhs", loc)
         head = _int_attr(child, "head", loc)
-        lhs_features = {
-            k: v for k, v in child.attrib.items() if k not in ("lhs", "head")
-        }
-        if "name" in lhs_features:
+        if "name" in child.attrib:
             raise MalformedResource(loc, "feature key 'name' is reserved")
+        lhs_features = {k: v for k, v in child.attrib.items() if k not in _RULE_RESERVED}
         rhs = tuple(
-            _load_category(cat, f"{loc}/cat[{j}]", _RULE_RESERVED)
+            _read_category(cat, f"{loc}/cat[{j}]")
             for j, cat in enumerate(_children(child, {"cat"}, loc), 1)
         )
         try:
@@ -433,75 +574,63 @@ def _load_grammar(elem: ET.Element, location: str):
     grammar = Grammar(start, tuple(rules))
     if rules and start not in grammar.lhs_names():
         raise MalformedResource(location, f"start symbol {start!r} is not a rule left-hand side")
-    return grammar, gf_mode
+    if gf_mode == "case-marked" and not any(
+        cat.feature("case") is not None for rule in rules for cat in (rule.lhs, *rule.rhs)
+    ):
+        raise MalformedResource(
+            location, "case-marked mode requires at least one category with a case feature"
+        )
+    return {"grammar": grammar, "gf_mode": gf_mode}
 
 
-def _load_lemma_rules(elem: ET.Element, location: str) -> tuple[LemmaRule, ...]:
+def _write_grammar(bundle: ResourceBundle) -> list[str]:
+    grammar = bundle.grammar
+    attrs = [("start", grammar.start_symbol), ("gf", bundle.gf_mode)]
+    if not grammar.rules:
+        return [f"  <grammar{_attrs(attrs)}/>"] if grammar.start_symbol else []
     rules = []
-    for i, child in enumerate(_children(elem, {"lemrule"}, location), 1):
-        loc = f"{location}/lemrule[{i}]"
-        strip = _require(child, "strip", loc)
-        if not strip:
-            raise MalformedResource(loc, "empty strip suffix")
-        minstem = _int_attr(child, "minstem", loc)
-        if minstem < 0:
-            raise MalformedResource(loc, "minstem must be non-negative")
-        rules.append(LemmaRule(strip, minstem))
-    return tuple(rules)
+    for rule in grammar.rules:
+        pairs = [("lhs", rule.lhs.name), *_features(rule.lhs), ("head", str(rule.head))]
+        cats = "".join(f"<cat{_attrs([('name', cat.name), *_features(cat)])}/>" for cat in rule.rhs)
+        rules.append(f"<rule{_attrs(pairs)}>{cats}</rule>")
+    return _section("grammar", rules, attrs)
 
 
-def _load_semlex(elem: ET.Element, location: str) -> tuple[SemLexEntry, ...]:
-    entries = []
-    seen = set()
-    for i, child in enumerate(_children(elem, {"entry"}, location), 1):
-        loc = f"{location}/entry[{i}]"
-        entry = SemLexEntry(
-            lemma=_require(child, "lemma", loc),
-            pos=_require(child, "pos", loc),
-            semclass=_require(child, "semclass", loc),
-        )
+def _read_semlex(elem: ET.Element, location: str) -> dict:
+    entries: dict[tuple[str, str], SemLexEntry] = {}
+    for entry, loc in _read_records(elem, location, _SEMLEX_ENTRY):
         key = (entry.lemma, entry.pos)
-        if key in seen:
+        if key in entries:
             raise MalformedResource(loc, f"duplicate entry for {key!r}")
-        seen.add(key)
-        entries.append(entry)
-    return tuple(entries)
+        entries[key] = entry
+    return {"sem_lexicon": tuple(entries.values())}
 
 
-def _load_frames(elem: ET.Element, location: str) -> tuple[CaseFrame, ...]:
+def _write_semlex(bundle: ResourceBundle) -> list[str]:
+    return _section("semlex", [_write_record(_SEMLEX_ENTRY, entry) for entry in bundle.sem_lexicon])
+
+
+def _read_slots(elem: ET.Element, location: str) -> dict:
+    slots: dict[str, FrameSlot] = {}
+    for slot, loc in _read_records(elem, location, _FRAME_SLOT):
+        if slot.role in slots:
+            raise MalformedResource(loc, f"duplicate role {slot.role!r}")
+        if any(other.gf == slot.gf for other in slots.values()):
+            raise MalformedResource(loc, f"more than one slot with gf {slot.gf!r}")
+        slots[slot.role] = slot
+    return {"slots": tuple(slots.values())}
+
+
+def _read_frames(elem: ET.Element, location: str) -> dict:
+    return {"frames": tuple(f for f, _ in _read_records(elem, location, _CASE_FRAME, _read_slots))}
+
+
+def _write_frames(bundle: ResourceBundle) -> list[str]:
     frames = []
-    for i, child in enumerate(_children(elem, {"frame"}, location), 1):
-        loc = f"{location}/frame[{i}]"
-        frame_id = _require(child, "id", loc)
-        slots = []
-        roles = set()
-        gfs = set()
-        for j, slot_elem in enumerate(_children(child, {"slot"}, loc), 1):
-            sloc = f"{loc}/slot[{j}]"
-            slot = FrameSlot(
-                role=_require(slot_elem, "role", sloc),
-                gf=_require(slot_elem, "gf", sloc),
-                fill_concept=_require(slot_elem, "fill", sloc),
-                required=_bool_attr(slot_elem, "required", sloc),
-            )
-            if slot.gf not in GF_SLOTS:
-                raise MalformedResource(sloc, f"unknown grammatical function {slot.gf!r}")
-            if slot.role in roles:
-                raise MalformedResource(sloc, f"duplicate role {slot.role!r}")
-            if slot.gf in gfs:
-                raise MalformedResource(sloc, f"more than one slot with gf {slot.gf!r}")
-            roles.add(slot.role)
-            gfs.add(slot.gf)
-            slots.append(slot)
-        frames.append(
-            CaseFrame(
-                id=frame_id,
-                predicate_lemma=_require(child, "predicate", loc),
-                relation=_require(child, "relation", loc),
-                slots=tuple(slots),
-            )
-        )
-    return tuple(frames)
+    for frame in bundle.frames:
+        slots = "".join(f"\n      {_write_record(_FRAME_SLOT, slot)}" for slot in frame.slots)
+        frames.append(_write_record(_CASE_FRAME, frame, f"{slots}\n    "))
+    return _section("frames", frames)
 
 
 def _check_acyclic(isa: dict[str, frozenset[str]], concepts: frozenset[str]) -> None:
@@ -528,26 +657,21 @@ def _check_acyclic(isa: dict[str, frozenset[str]], concepts: frozenset[str]) -> 
                 stack.pop()
 
 
-def _load_ontology(elem: ET.Element, location: str) -> Ontology:
-    concept_elems: list[tuple[str, ET.Element, str]] = []
-    lexmap_elems: list[tuple[ET.Element, str]] = []
-    i = 0
-    for child in _children(elem, {"concept", "lexmap"}, location):
-        if child.tag == "concept":
-            i += 1
-            loc = f"{location}/concept[{i}]"
-            concept_elems.append((_require(child, "id", loc), child, loc))
-        else:
-            lexmap_elems.append((child, f"{location}/lexmap[{len(lexmap_elems) + 1}]"))
+def _read_ontology(elem: ET.Element, location: str) -> dict:
+    groups: dict[str, list[tuple[ET.Element, str]]] = {"concept": [], "lexmap": []}
+    for child in _children(elem, groups, location):
+        group = groups[child.tag]
+        group.append((child, f"{location}/{child.tag}[{len(group) + 1}]"))
 
-    concepts = set()
-    for cid, _, loc in concept_elems:
+    concepts: dict[str, tuple[ET.Element, str]] = {}
+    for child, loc in groups["concept"]:
+        cid = _require(child, "id", loc)
         if cid in concepts:
             raise MalformedResource(loc, f"duplicate concept {cid!r}")
-        concepts.add(cid)
+        concepts[cid] = (child, loc)
 
     isa: dict[str, frozenset[str]] = {}
-    for cid, child, loc in concept_elems:
+    for cid, (child, loc) in concepts.items():
         parents = set()
         for j, isa_elem in enumerate(_children(child, {"isa"}, loc), 1):
             ref = _require(isa_elem, "ref", f"{loc}/isa[{j}]")
@@ -558,7 +682,7 @@ def _load_ontology(elem: ET.Element, location: str) -> Ontology:
             isa[cid] = frozenset(parents)
 
     lexmap: dict[str, str] = {}
-    for child, loc in lexmap_elems:
+    for child, loc in groups["lexmap"]:
         semclass = _require(child, "semclass", loc)
         concept = _require(child, "concept", loc)
         if concept not in concepts:
@@ -569,45 +693,58 @@ def _load_ontology(elem: ET.Element, location: str) -> Ontology:
 
     frozen = frozenset(concepts)
     _check_acyclic(isa, frozen)
-    return Ontology(frozen, isa, lexmap)
+    return {"ontology": Ontology(frozen, isa, lexmap)}
 
 
-def _load_structmap(elem: ET.Element, location: str) -> tuple[StructPattern, ...]:
+def _write_ontology(bundle: ResourceBundle) -> list[str]:
+    ontology = bundle.ontology
+    items = []
+    for cid in sorted(ontology.concepts):
+        isa = "".join(f"<isa{_attrs([('ref', p)])}/>" for p in sorted(ontology.parents(cid)))
+        concept = f"<concept{_attrs([('id', cid)])}"
+        items.append(f"{concept}>{isa}</concept>" if isa else f"{concept}/>")
+    for semclass in sorted(ontology.lexmap):
+        pairs = [("semclass", semclass), ("concept", ontology.lexmap[semclass])]
+        items.append(f"<lexmap{_attrs(pairs)}/>")
+    return _section("ontology", items)
+
+
+def _read_pattern_items(elem: ET.Element, location: str) -> dict:
+    return {"rhs_match": tuple(item for item, _ in _read_records(elem, location, _PATTERN_ITEM))}
+
+
+def _read_structmap(elem: ET.Element, location: str) -> dict:
+    patterns = _read_records(elem, location, _STRUCT_PATTERN, _read_pattern_items)
+    return {"struct_patterns": tuple(p for p, _ in patterns)}
+
+
+def _write_structmap(bundle: ResourceBundle) -> list[str]:
     patterns = []
-    for i, child in enumerate(_children(elem, {"pattern"}, location), 1):
-        loc = f"{location}/pattern[{i}]"
-        items = tuple(
-            PatternItem(_require(m, "name", f"{loc}/m[{j}]"), m.get("form"))
-            for j, m in enumerate(_children(child, {"m"}, loc), 1)
-        )
-        try:
-            patterns.append(
-                StructPattern(
-                    id=_require(child, "id", loc),
-                    constituent_cat=_require(child, "cat", loc),
-                    rhs_match=items,
-                    relation=_require(child, "relation", loc),
-                    arg1=_int_attr(child, "arg1", loc),
-                    arg2=_int_attr(child, "arg2", loc),
-                )
-            )
-        except ValueError as exc:
-            raise MalformedResource(loc, str(exc)) from None
-    return tuple(patterns)
+    for pattern in bundle.struct_patterns:
+        items = "".join(_write_record(_PATTERN_ITEM, item) for item in pattern.rhs_match)
+        patterns.append(_write_record(_STRUCT_PATTERN, pattern, items))
+    return _section("structmap", patterns)
 
 
+# The section table: each section's element, its reader (which returns
+# the bundle fields it fills) and its writer, in canonical order.
 _SECTIONS = (
-    "abbreviations",
-    "taglexicon",
-    "rules",
-    "tagmap",
-    "grammar",
-    "lemmarules",
-    "semlex",
-    "frames",
-    "ontology",
-    "structmap",
+    ("abbreviations", _read_abbreviations, _write_abbreviations),
+    ("taglexicon", _read_taglexicon, _write_taglexicon),
+    _record_section("rules", "context_rules", _CONTEXT_RULE),
+    ("tagmap", _read_tagmap, _write_tagmap),
+    ("grammar", _read_grammar, _write_grammar),
+    _record_section("lemmarules", "lemma_rules", _LEMMA_RULE),
+    ("semlex", _read_semlex, _write_semlex),
+    ("frames", _read_frames, _write_frames),
+    ("ontology", _read_ontology, _write_ontology),
+    ("structmap", _read_structmap, _write_structmap),
 )
+_SECTION_READERS = {tag: read for tag, read, _ in _SECTIONS}
+
+
+# ---------------------------------------------------------------------------
+# Loading
 
 
 def loads_bundle(data: str | bytes) -> ResourceBundle:
@@ -622,46 +759,15 @@ def loads_bundle(data: str | bytes) -> ResourceBundle:
     if not lang:
         raise MalformedResource("resources", "lang must be non-empty")
 
-    fields: dict[str, object] = {"lang": lang}
+    values: dict[str, object] = {"lang": lang}
     seen = set()
-    for child in _children(root, _SECTIONS, "resources"):
+    for child in _children(root, _SECTION_READERS, "resources"):
         if child.tag in seen:
             raise MalformedResource("resources", f"duplicate section <{child.tag}>")
         seen.add(child.tag)
-        loc = child.tag
-        if child.tag == "abbreviations":
-            fields["abbreviations"] = _load_abbreviations(child, loc)
-        elif child.tag == "taglexicon":
-            lexicon, default, capitalized = _load_taglexicon(child, loc)
-            fields["tag_lexicon"] = lexicon
-            fields["default_tag"] = default
-            fields["capitalized_tag"] = capitalized
-        elif child.tag == "rules":
-            fields["context_rules"] = _load_context_rules(child, loc)
-        elif child.tag == "tagmap":
-            fields["tagset_map"], fields["tagset_source"] = _load_tagmap(child, loc)
-        elif child.tag == "grammar":
-            fields["grammar"], fields["gf_mode"] = _load_grammar(child, loc)
-        elif child.tag == "lemmarules":
-            fields["lemma_rules"] = _load_lemma_rules(child, loc)
-        elif child.tag == "semlex":
-            fields["sem_lexicon"] = _load_semlex(child, loc)
-        elif child.tag == "frames":
-            fields["frames"] = _load_frames(child, loc)
-        elif child.tag == "ontology":
-            fields["ontology"] = _load_ontology(child, loc)
-        elif child.tag == "structmap":
-            fields["struct_patterns"] = _load_structmap(child, loc)
+        values.update(_SECTION_READERS[child.tag](child, child.tag))
 
-    bundle = ResourceBundle(**fields)  # type: ignore[arg-type]
-    if bundle.gf_mode == "case-marked":
-        cats = [rule.lhs for rule in bundle.grammar.rules]
-        cats.extend(cat for rule in bundle.grammar.rules for cat in rule.rhs)
-        if not any(cat.feature("case") is not None for cat in cats):
-            raise MalformedResource(
-                "grammar", "case-marked mode requires at least one category with a case feature"
-            )
-    return bundle
+    return ResourceBundle(**values)  # type: ignore[arg-type]
 
 
 def _read_bundle_bytes(path: str | Path) -> bytes:
@@ -862,146 +968,9 @@ def validate_bundle(bundle: ResourceBundle) -> list[Finding]:
 # Serialization
 
 
-def _esc(value: str) -> str:
-    value = (
-        value.replace("&", "&amp;")
-        .replace("<", "&lt;")
-        .replace(">", "&gt;")
-        .replace('"', "&quot;")
-    )
-    return value.replace("\t", "&#9;").replace("\n", "&#10;").replace("\r", "&#13;")
-
-
-def _attrs(pairs: Iterable[tuple[str, str]]) -> str:
-    return "".join(f' {key}="{_esc(value)}"' for key, value in pairs)
-
-
-def _cat_xml(cat: Category) -> str:
-    if any(k in ("name", "lhs", "head") for k, _ in cat.features):
-        raise ValueError(f"category {cat!r} uses a reserved feature key")
-    return f"<cat{_attrs([('name', cat.name), *cat.features])}/>"
-
-
-def _serialize_sections(bundle: ResourceBundle) -> list[str]:
-    lines: list[str] = []
-
-    if bundle.abbreviations:
-        lines.append("  <abbreviations>")
-        for form in sorted(bundle.abbreviations):
-            lines.append(f"    <abbr{_attrs([('form', form)])}/>")
-        lines.append("  </abbreviations>")
-
-    if bundle.tag_lexicon or bundle.default_tag is not None or bundle.capitalized_tag is not None:
-        attrs = []
-        if bundle.default_tag is not None:
-            attrs.append(("default", bundle.default_tag))
-        if bundle.capitalized_tag is not None:
-            attrs.append(("capitalized", bundle.capitalized_tag))
-        if bundle.tag_lexicon:
-            lines.append(f"  <taglexicon{_attrs(attrs)}>")
-            for form in sorted(bundle.tag_lexicon):
-                tags = " ".join(bundle.tag_lexicon[form])
-                lines.append(f"    <w{_attrs([('form', form), ('tags', tags)])}/>")
-            lines.append("  </taglexicon>")
-        else:
-            lines.append(f"  <taglexicon{_attrs(attrs)}/>")
-
-    if bundle.context_rules:
-        lines.append("  <rules>")
-        for rule in bundle.context_rules:
-            pairs = [
-                ("from", rule.from_tag),
-                ("to", rule.to_tag),
-                ("trigger", rule.trigger),
-                ("value", rule.trigger_value),
-            ]
-            lines.append(f"    <rule{_attrs(pairs)}/>")
-        lines.append("  </rules>")
-
-    if bundle.tagset_map or bundle.tagset_source:
-        attrs = [("source", bundle.tagset_source)] if bundle.tagset_source else []
-        lines.append(f"  <tagmap{_attrs(attrs)}>")
-        for src in sorted(bundle.tagset_map):
-            lines.append(f"    <map{_attrs([('from', src), ('to', bundle.tagset_map[src])])}/>")
-        lines.append("  </tagmap>")
-
-    if bundle.grammar.rules:
-        attrs = [("start", bundle.grammar.start_symbol), ("gf", bundle.gf_mode)]
-        lines.append(f"  <grammar{_attrs(attrs)}>")
-        for rule in bundle.grammar.rules:
-            pairs = [("lhs", rule.lhs.name), *rule.lhs.features, ("head", str(rule.head))]
-            cats = "".join(_cat_xml(cat) for cat in rule.rhs)
-            lines.append(f"    <rule{_attrs(pairs)}>{cats}</rule>")
-        lines.append("  </grammar>")
-
-    if bundle.lemma_rules:
-        lines.append("  <lemmarules>")
-        for rule in bundle.lemma_rules:
-            pairs = [("strip", rule.strip), ("minstem", str(rule.min_stem_len))]
-            lines.append(f"    <lemrule{_attrs(pairs)}/>")
-        lines.append("  </lemmarules>")
-
-    if bundle.sem_lexicon:
-        lines.append("  <semlex>")
-        for entry in bundle.sem_lexicon:
-            pairs = [("lemma", entry.lemma), ("pos", entry.pos), ("semclass", entry.semclass)]
-            lines.append(f"    <entry{_attrs(pairs)}/>")
-        lines.append("  </semlex>")
-
-    if bundle.frames:
-        lines.append("  <frames>")
-        for frame in bundle.frames:
-            pairs = [("id", frame.id), ("predicate", frame.predicate_lemma), ("relation", frame.relation)]
-            lines.append(f"    <frame{_attrs(pairs)}>")
-            for slot in frame.slots:
-                spairs = [
-                    ("role", slot.role),
-                    ("gf", slot.gf),
-                    ("fill", slot.fill_concept),
-                    ("required", "true" if slot.required else "false"),
-                ]
-                lines.append(f"      <slot{_attrs(spairs)}/>")
-            lines.append("    </frame>")
-        lines.append("  </frames>")
-
-    ontology = bundle.ontology
-    if ontology.concepts or ontology.lexmap:
-        lines.append("  <ontology>")
-        for cid in sorted(ontology.concepts):
-            parents = sorted(ontology.parents(cid))
-            if parents:
-                isa = "".join(f"<isa{_attrs([('ref', p)])}/>" for p in parents)
-                lines.append(f"    <concept{_attrs([('id', cid)])}>{isa}</concept>")
-            else:
-                lines.append(f"    <concept{_attrs([('id', cid)])}/>")
-        for semclass in sorted(ontology.lexmap):
-            pairs = [("semclass", semclass), ("concept", ontology.lexmap[semclass])]
-            lines.append(f"    <lexmap{_attrs(pairs)}/>")
-        lines.append("  </ontology>")
-
-    if bundle.struct_patterns:
-        lines.append("  <structmap>")
-        for pattern in bundle.struct_patterns:
-            pairs = [
-                ("id", pattern.id),
-                ("cat", pattern.constituent_cat),
-                ("relation", pattern.relation),
-                ("arg1", str(pattern.arg1)),
-                ("arg2", str(pattern.arg2)),
-            ]
-            ms = "".join(
-                f"<m{_attrs([('name', item.name)] + ([('form', item.form)] if item.form is not None else []))}/>"
-                for item in pattern.rhs_match
-            )
-            lines.append(f"    <pattern{_attrs(pairs)}>{ms}</pattern>")
-        lines.append("  </structmap>")
-
-    return lines
-
-
 def serialize_bundle(bundle: ResourceBundle) -> str:
     """Write canonical bundle XML: byte-identical across repeated calls."""
-    body = _serialize_sections(bundle)
+    body = [line for _, _, write in _SECTIONS for line in write(bundle)]
     lines = ['<?xml version="1.0" encoding="UTF-8"?>']
     if body:
         lines.append(f'<resources{_attrs([("lang", bundle.lang)])}>')

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError, MalformedLine, ResourceError, UnmappedTag
-from .resources import ContextRule, ResourceBundle
+from .resources import _TRIGGER_OFFSETS, ContextRule, ResourceBundle
 from .structure import Sentence, Token
 
 __all__ = [
@@ -77,9 +77,7 @@ def initial_tag(sentence: Sentence, bundle: ResourceBundle) -> list[TaggedToken]
 def _trigger_holds(
     rule: ContextRule, index: int, tags: list[str], forms: Sequence[str]
 ) -> bool:
-    deltas = {"prev_tag": -1, "next_tag": 1, "prev2_tag": -2, "next2_tag": 2,
-              "prev_word": -1, "next_word": 1}
-    where = index + deltas[rule.trigger]
+    where = index + _TRIGGER_OFFSETS[rule.trigger]
     if not 0 <= where < len(tags):
         return False
     if rule.trigger.endswith("_word"):

@@ -195,7 +195,8 @@ def test_validate_report_is_sorted_by_location():
 
 
 def test_serialize_round_trip_fixture(en_bio, de_core):
-    for bundle in (en_bio, de_core):
+    ruleless = loads_bundle('<resources lang="en"><grammar start="S"/></resources>')
+    for bundle in (en_bio, de_core, ruleless):
         text = serialize_bundle(bundle)
         assert loads_bundle(text) == bundle
 
@@ -209,6 +210,14 @@ def test_serialize_is_byte_stable(de_core_path):
 def test_serialize_empty_bundle():
     bundle = loads_bundle('<resources lang="en"/>')
     assert serialize_bundle(bundle) == '<?xml version="1.0" encoding="UTF-8"?>\n<resources lang="en"/>\n'
+
+
+@pytest.mark.parametrize("key", ["lhs", "head", "name"])
+def test_serialize_refuses_reserved_rule_lhs_keys(key):
+    rule = GrammarRule(Category("S", {key: "x"}), (Category("A"),), 1)
+    bundle = ResourceBundle(lang="en", grammar=Grammar("S", (rule,)))
+    with pytest.raises(ValueError, match="reserved"):
+        serialize_bundle(bundle)
 
 
 def test_serialize_escapes_attribute_values():
