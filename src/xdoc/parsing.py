@@ -18,17 +18,24 @@ that grammar object.  A (rule index, children) pair fixes the edge it
 makes, so one set of the pairs seen in a parse replaces any
 per-node duplicate check; it lives only as long as the parse.  Nodes
 are numbered in creation order, the first ``len(tags)`` being the
-leaves, and ``node.category`` reads the grammar's table.
+leaves, and each node holds its :class:`Category`.
 
 Because the chart is built bottom-up without top-down filtering it
 keeps every constituent, which the chunk fallback exploits when no
 complete parse exists.
+
+One reader, :func:`_trees`, reads trees off the chart: a node's trees in
+derivation order (rule index, then child spans), cutting any derivation
+through a node already on the path, and stopping at an optional limit.
+:func:`complete_parses` first counts the start symbol's trees with
+:func:`_count_trees`, which gives up past ``TREE_LIMIT``, and only then
+reads them all; :func:`chunks` reads one tree per chosen constituent.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 from .errors import EmptyInput, TooAmbiguous
@@ -84,18 +91,13 @@ class ParseTree:
 
 @dataclass(slots=True)
 class _Node:
-    """One packed passive edge; ``cat`` is its category's interned id."""
+    """One packed passive edge."""
 
     id: int
-    cat: int
+    category: Category
     start: int
     end: int
     derivations: list[Derivation]
-    _categories: Sequence[Category] = field(repr=False, compare=False)
-
-    @property
-    def category(self) -> Category:
-        return self._categories[self.cat]
 
     def is_constituent(self) -> bool:
         return any(rule is not None for rule, _ in self.derivations)
@@ -181,11 +183,12 @@ def parse(
 
     def add_node(cat: int, start: int, end: int, deriv: Derivation) -> None:
         node_id = len(nodes)
-        nodes.append(_Node(node_id, cat, start, end, [deriv], categories))
+        category = categories[cat]
+        nodes.append(_Node(node_id, category, start, end, [deriv]))
         node_cat.append(cat)
         node_end.append(end)
         by_key[(cat, start, end)] = node_id
-        by_start_name.setdefault((start, categories[cat].name), []).append(node_id)
+        by_start_name.setdefault((start, category.name), []).append(node_id)
         by_start.setdefault(start, []).append(node_id)
 
     def advance(rule: int, start: int, children: tuple[int, ...], node_id: int) -> None:
@@ -232,7 +235,7 @@ def parse(
     node_id = 0
     while node_id < len(nodes):
         node = nodes[node_id]
-        name = categories[node.cat].name
+        name = node.category.name
         for rule in rules_by_first.get(name, ()):
             advance(rule, node.start, (), node_id)
         # Edges made below wait at positions after node.start, so this
@@ -247,24 +250,19 @@ def parse(
     return chart
 
 
-def _sorted_derivations(chart: Chart, node: _Node) -> Iterator[Derivation]:
-    """Derivations by rule index, then child spans, ties in chart order.
-
-    Past the least one, which is all :func:`_first_tree` needs unless a
-    cycle blocks it, the derivations are sorted only when asked for.
-    """
+def _sorted_derivations(chart: Chart, node: _Node) -> list[Derivation]:
+    """Derivations by rule index, then child spans, ties in chart order."""
     derivations = node.derivations
     if len(derivations) == 1:
-        yield derivations[0]
-        return
-    keys = {}
-    for deriv in derivations:
+        return derivations
+    nodes = chart.nodes
+
+    def key(deriv: Derivation) -> tuple:
         rule_idx, children = deriv
-        spans = tuple((chart.node(c).start, chart.node(c).end) for c in children)
-        keys[deriv] = (-1 if rule_idx is None else rule_idx, spans)
-    # min and a stable sort both put the first least entry in chart order first.
-    yield min(derivations, key=keys.__getitem__)
-    yield from sorted(derivations, key=keys.__getitem__)[1:]
+        spans = tuple((nodes[c].start, nodes[c].end) for c in children)
+        return (-1 if rule_idx is None else rule_idx, spans)
+
+    return sorted(derivations, key=key)
 
 
 def _count_trees(chart: Chart, node: _Node, memo: dict[int, int], path: set[int]) -> int:
@@ -292,66 +290,46 @@ def _count_trees(chart: Chart, node: _Node, memo: dict[int, int], path: set[int]
     return total
 
 
-def _enumerate_trees(
-    chart: Chart, node: _Node, memo: dict[int, list[ParseTree]], path: set[int]
+def _trees(
+    chart: Chart,
+    node: _Node,
+    memo: dict[int, list[ParseTree]] | None,
+    path: set[int],
+    limit: int | None = None,
 ) -> list[ParseTree]:
-    if node.id in memo:
-        return memo[node.id]
-    if node.id in path:
+    """``node``'s trees in derivation order, at most ``limit`` of them.
+
+    A derivation through a node already on ``path`` is cut.  With a
+    ``memo`` each node is read once and that first reading is reused
+    wherever the node recurs, so one memo serves one ``limit``.  Without
+    one, what a cut removes depends only on the current path; one tree
+    visits each node of an acyclic chart once, so it needs no memo.
+    """
+    node_id = node.id
+    if memo is not None and node_id in memo:
+        return memo[node_id]
+    if node_id in path:
         return []
-    path.add(node.id)
+    path.add(node_id)
     trees: list[ParseTree] = []
     for rule_idx, children in _sorted_derivations(chart, node):
         if rule_idx is None:
             trees.append(ParseTree(node.category, node.start, node.end))
-            continue
-        rule = chart.grammar.rules[rule_idx]
-        child_lists = [
-            _enumerate_trees(chart, chart.node(cid), memo, path) for cid in children
-        ]
-        for combo in itertools.product(*child_lists):
-            trees.append(
-                ParseTree(
-                    node.category,
-                    node.start,
-                    node.end,
-                    tuple(combo),
-                    head=rule.head - 1,
-                    rule_index=rule_idx,
-                )
-            )
-    path.discard(node.id)
-    memo[node.id] = trees
-    return trees
-
-
-def _first_tree(chart: Chart, node: _Node, path: set[int]) -> ParseTree | None:
-    if node.id in path:
-        return None
-    path.add(node.id)
-    try:
-        for rule_idx, children in _sorted_derivations(chart, node):
-            if rule_idx is None:
-                return ParseTree(node.category, node.start, node.end)
-            rule = chart.grammar.rules[rule_idx]
-            child_trees = []
-            for cid in children:
-                child = _first_tree(chart, chart.node(cid), path)
-                if child is None:
+        else:
+            child_lists = []
+            for child in children:
+                child_lists.append(_trees(chart, chart.nodes[child], memo, path, limit))
+            head = chart.grammar.rules[rule_idx].head - 1
+            for combo in itertools.product(*child_lists):
+                trees.append(ParseTree(node.category, node.start, node.end, combo, head, rule_idx))
+                if len(trees) == limit:
                     break
-                child_trees.append(child)
-            else:
-                return ParseTree(
-                    node.category,
-                    node.start,
-                    node.end,
-                    tuple(child_trees),
-                    head=rule.head - 1,
-                    rule_index=rule_idx,
-                )
-        return None
-    finally:
-        path.discard(node.id)
+        if len(trees) == limit:
+            break
+    path.discard(node_id)
+    if memo is not None:
+        memo[node_id] = trees
+    return trees
 
 
 def complete_parses(chart: Chart, start_symbol: str) -> list[ParseTree]:
@@ -374,7 +352,7 @@ def complete_parses(chart: Chart, start_symbol: str) -> list[ParseTree]:
     trees: list[ParseTree] = []
     memo: dict[int, list[ParseTree]] = {}
     for node in roots:
-        trees.extend(_enumerate_trees(chart, node, memo, set()))
+        trees.extend(_trees(chart, node, memo, set()))
     return trees
 
 
@@ -396,9 +374,9 @@ def chunks(chart: Chart) -> list[ParseTree]:
                 return (-node.end, min_rule, node.id)
 
             best = min(candidates, key=rank)
-            tree = _first_tree(chart, best, set())
-            if tree is not None:
-                out.append(tree)
+            first = _trees(chart, best, None, set(), 1)
+            if first:
+                out.append(first[0])
                 pos = best.end
                 continue
         leaf = chart.node(pos)

@@ -169,7 +169,7 @@ def _analyze_sentence(
     _annotate(analysis, mapped)
 
     if "parse" in stages and mapped:
-        chart = parse([(t.parser_tag, {}) for t in mapped], bundle.grammar)
+        chart = parse([t.parser_tag for t in mapped], bundle.grammar)
         try:
             trees = complete_parses(chart, bundle.grammar.start_symbol)
         except TooAmbiguous as exc:

@@ -163,6 +163,10 @@ class Grammar:
     start_symbol: str = ""
     rules: tuple[GrammarRule, ...] = ()
 
+    def __post_init__(self) -> None:
+        if self.rules and self.start_symbol not in self.lhs_names():
+            raise ValueError(f"start symbol {self.start_symbol!r} is not a rule left-hand side")
+
     @cached_property
     def compiled(self) -> CompiledGrammar:
         """The parser tables, built on the first parse with this object."""
@@ -298,6 +302,12 @@ class ResourceBundle:
             raise ValueError("bundle language must be non-empty")
         if self.gf_mode not in GF_MODES:
             raise ValueError(f"unknown grammatical-function mode {self.gf_mode!r}")
+        if self.gf_mode == "case-marked" and not any(
+            cat.feature("case") is not None
+            for rule in self.grammar.rules
+            for cat in (rule.lhs, *rule.rhs)
+        ):
+            raise ValueError("case-marked mode requires at least one category with a case feature")
 
     # Lookup indexes, built on first use and shared by every later
     # sentence; loading and validation never build them.
@@ -571,15 +581,10 @@ def _read_grammar(elem: ET.Element, location: str) -> dict:
             rules.append(GrammarRule(Category(lhs_name, lhs_features), rhs, head))
         except ValueError as exc:
             raise MalformedResource(loc, str(exc)) from None
-    grammar = Grammar(start, tuple(rules))
-    if rules and start not in grammar.lhs_names():
-        raise MalformedResource(location, f"start symbol {start!r} is not a rule left-hand side")
-    if gf_mode == "case-marked" and not any(
-        cat.feature("case") is not None for rule in rules for cat in (rule.lhs, *rule.rhs)
-    ):
-        raise MalformedResource(
-            location, "case-marked mode requires at least one category with a case feature"
-        )
+    try:
+        grammar = Grammar(start, tuple(rules))
+    except ValueError as exc:
+        raise MalformedResource(location, str(exc)) from None
     return {"grammar": grammar, "gf_mode": gf_mode}
 
 
@@ -767,7 +772,12 @@ def loads_bundle(data: str | bytes) -> ResourceBundle:
         seen.add(child.tag)
         values.update(_SECTION_READERS[child.tag](child, child.tag))
 
-    return ResourceBundle(**values)  # type: ignore[arg-type]
+    try:
+        return ResourceBundle(**values)  # type: ignore[arg-type]
+    except ValueError as exc:
+        # lang and the gf mode were checked above; what is left is whether
+        # the grammar suits its gf mode.
+        raise MalformedResource("grammar", str(exc)) from None
 
 
 def _read_bundle_bytes(path: str | Path) -> bytes:

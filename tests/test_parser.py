@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from cyk_oracle import brute_force_spans, chart_spans, count_bracketings
 from grammargen import TERMINAL_POOL, feature_tags, random_case, to_grammar
+from test_chart_reference import clause
 from xdoc.errors import EmptyInput, TooAmbiguous
 from xdoc.parsing import (
     ParseTree,
@@ -217,6 +218,19 @@ def test_chunks_tie_broken_by_rule_order():
     grammar = grammar_of(("XP", ("A", "B")), ("YP", ("A", "B")))
     cover = chunks(parse(["A", "B"], grammar))
     assert [c.category.name for c in cover] == ["XP"]
+
+
+def test_chunks_read_the_first_complete_parse(de_core):
+    # The one-tree read and the full read agree wherever a complete parse exists.
+    cases = [(["N"] * 5, AMBIG_NP, "NP", 14)] + [
+        (clause(*sizes), de_core.grammar, "S", readings)
+        for sizes, readings in (((0, 0), 1), ((3, 3), 25), ((4, 4), 196))
+    ]
+    for tags, grammar, start_symbol, readings in cases:
+        chart = parse(tags, grammar)
+        trees = complete_parses(chart, start_symbol)
+        assert len(trees) == readings
+        assert chunks(chart) == [trees[0]]
 
 
 # Randomized oracle comparison. A small slice runs here; the full sweep

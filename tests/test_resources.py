@@ -458,6 +458,21 @@ def test_type_constructor_guards():
         ResourceBundle(lang="en", gf_mode="sideways")
 
 
+def test_constructors_refuse_what_the_loader_refuses():
+    rules = (GrammarRule(Category("S"), (Category("N"),), 1),)
+    with pytest.raises(ValueError, match="start symbol 'X' is not a rule left-hand side"):
+        Grammar("X", rules)
+    with pytest.raises(ValueError, match="case-marked mode requires"):
+        ResourceBundle(lang="en", gf_mode="case-marked")
+    with pytest.raises(ValueError, match="case-marked mode requires"):
+        ResourceBundle(lang="de", grammar=Grammar("S", rules), gf_mode="case-marked")
+    with pytest.raises(MalformedResource) as exc:
+        loads_bundle('<resources lang="de"><grammar start="S" gf="case-marked"/></resources>')
+    assert str(exc.value) == (
+        "grammar: case-marked mode requires at least one category with a case feature"
+    )
+
+
 def test_serializer_rejects_reserved_feature_keys():
     from xdoc.resources import serialize_bundle as ser
 
