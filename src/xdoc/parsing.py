@@ -11,14 +11,21 @@ deliberate reduction of unification, sufficient for case marking.
 The chart is integer-coded.  Every category is interned to a small int
 in the grammar's compiled tables (:attr:`Grammar.compiled`), nodes are
 keyed by (category id, start, end), and active edges are plain
-(rule index, start, children) tuples.  Feature matches and parent
+(stamp, rule index, start, children) tuples.  Feature matches and parent
 categories depend only on the grammar and the categories involved, so
 they are memoised there by category id and shared by every parse with
-that grammar object.  A (rule index, children) pair fixes the edge it
-makes, so one set of the pairs seen in a parse replaces any
-per-node duplicate check; it lives only as long as the parse.  Nodes
-are numbered in creation order, the first ``len(tags)`` being the
-leaves, and each node holds its :class:`Category`.
+that grammar object.  Nodes are numbered in creation order, the first
+``len(tags)`` being the leaves, and each node holds its
+:class:`Category`.
+
+Each active edge meets each passive node once, so no derivation is
+made twice and none needs a duplicate check.  A new active edge is
+stamped with the number of nodes made so far and meets at once the
+passives it can extend, all of which have smaller ids.  When the
+agenda later takes node P, only the edges waiting for it whose stamp
+is at most P's id meet it; stamps never decrease along a waiting
+list, so that walk stops at the first later edge, which met P when it
+was made.
 
 Because the chart is built bottom-up without top-down filtering it
 keeps every constituent, which the chunk fallback exploits when no
@@ -99,9 +106,6 @@ class _Node:
     end: int
     derivations: list[Derivation]
 
-    def is_constituent(self) -> bool:
-        return any(rule is not None for rule, _ in self.derivations)
-
 
 def features_match(needed: Category, found: Category) -> bool:
     """True when names agree and all shared feature keys agree."""
@@ -148,10 +152,12 @@ def parse(
 
     compiled = grammar.compiled
     intern = compiled.intern
+    category_ids = compiled.category_ids
     terminals: list[int] = []
     for item in tags:
         if isinstance(item, str):
-            terminals.append(intern(Category(item)))
+            cat = category_ids.get((item, ()))
+            terminals.append(intern(Category(item)) if cat is None else cat)
         else:
             name, features = item
             terminals.append(intern(Category(name, features)))
@@ -174,12 +180,10 @@ def parse(
     by_key: dict[tuple[int, int, int], int] = {}
     node_cat: list[int] = []
     node_end: list[int] = []
-    # Every (rule index, children) pair made so far, active or complete:
-    # a pair fixes its edge, so a second sight of it adds nothing.
-    seen: set[Derivation] = set()
-    # Active edges as (rule index, start, children), keyed by the end
-    # position and the name of the category they need next.
-    waiting: dict[tuple[int, str], list[tuple[int, int, tuple[int, ...]]]] = {}
+    # Active edges as (stamp, rule index, start, children), keyed by the
+    # end position and the name of the category they need next.  The
+    # stamp is the node count when the edge was made.
+    waiting: dict[tuple[int, str], list[tuple[int, int, int, tuple[int, ...]]]] = {}
 
     def add_node(cat: int, start: int, end: int, deriv: Derivation) -> None:
         node_id = len(nodes)
@@ -202,9 +206,6 @@ def parse(
             return
         children += (node_id,)
         edge = (rule, children)
-        if edge in seen:
-            return
-        seen.add(edge)
         end = node_end[node_id]
         if dot == last_dot[rule]:
             head = node_cat[children[heads[rule]]]
@@ -221,8 +222,8 @@ def parse(
                 nodes[packed].derivations.append(edge)
             return
         needed = (end, rhs_names[rule][dot + 1])
-        waiting.setdefault(needed, []).append((rule, start, children))
-        # The fundamental rule with passives discovered earlier.  Nodes
+        waiting.setdefault(needed, []).append((len(nodes), rule, start, children))
+        # The fundamental rule with every passive made so far.  Nodes
         # made below start at ``start`` < end, so this list cannot grow
         # while it is walked.
         for passive in by_start_name.get(needed, ()):
@@ -238,9 +239,12 @@ def parse(
         name = node.category.name
         for rule in rules_by_first.get(name, ()):
             advance(rule, node.start, (), node_id)
+        # Edges stamped after this node was made have met it already.
         # Edges made below wait at positions after node.start, so this
         # list cannot grow while it is walked either.
-        for rule, start, children in waiting.get((node.start, name), ()):
+        for stamp, rule, start, children in waiting.get((node.start, name), ()):
+            if stamp > node_id:
+                break
             advance(rule, start, children, node_id)
         node_id += 1
 
@@ -364,16 +368,20 @@ def chunks(chart: Chart) -> list[ParseTree]:
     none exists the bare terminal is emitted.  The result covers the
     whole span without overlap.
     """
+    nodes = chart.nodes
     out: list[ParseTree] = []
     pos = 0
     while pos < chart.length:
-        candidates = [n for n in chart.passives_from(pos) if n.is_constituent()]
-        if candidates:
-            def rank(node: _Node):
-                min_rule = min(r for r, _ in node.derivations if r is not None)
-                return (-node.end, min_rule, node.id)
-
-            best = min(candidates, key=rank)
+        # The least (-end, least rule index, id) among the nodes starting
+        # here that some rule derives; ids ascend along the list.
+        best = None
+        best_rank = None
+        for node_id in chart._by_start[pos]:
+            node = nodes[node_id]
+            rule = min((r for r, _ in node.derivations if r is not None), default=None)
+            if rule is not None and (best_rank is None or (-node.end, rule) < best_rank):
+                best, best_rank = node, (-node.end, rule)
+        if best is not None:
             first = _trees(chart, best, None, set(), 1)
             if first:
                 out.append(first[0])

@@ -376,6 +376,8 @@ _READERS = {"str": _require, "int": _int_attr, "bool": _bool_attr,
 
 
 def _esc(value: str) -> str:
+    if value.isalnum():  # most forms, tags and ids: nothing to escape
+        return value
     value = (
         value.replace("&", "&amp;")
         .replace("<", "&lt;")

@@ -17,7 +17,7 @@ code: the same functions serve every language.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .errors import UnknownConcept
@@ -102,7 +102,7 @@ def semantic_tag(
             out.append(t)
             continue
         concept = bundle.ontology.lexmap.get(entry.semclass)
-        out.append(replace(t, lemma=lemma, semclass=entry.semclass, concept=concept))
+        out.append(TaggedToken(t.token, t.source_tag, t.parser_tag, lemma, entry.semclass, concept))
     return out
 
 

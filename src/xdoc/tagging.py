@@ -10,7 +10,7 @@ tagset the grammar's terminals use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -101,7 +101,8 @@ def apply_rules(
             if tags[i] == rule.from_tag and _trigger_holds(rule, i, tags, forms):
                 tags[i] = rule.to_tag
     return [
-        t if t.source_tag == tag else replace(t, source_tag=tag)
+        t if t.source_tag == tag
+        else TaggedToken(t.token, tag, t.parser_tag, t.lemma, t.semclass, t.concept)
         for t, tag in zip(tagged, tags)
     ]
 
@@ -157,5 +158,5 @@ def map_tagset(
         mapped = tagset_map.get(t.source_tag)
         if mapped is None:
             raise UnmappedTag(t.source_tag, t.token.offset)
-        out.append(replace(t, parser_tag=mapped))
+        out.append(TaggedToken(t.token, t.source_tag, mapped, t.lemma, t.semclass, t.concept))
     return out

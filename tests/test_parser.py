@@ -247,6 +247,21 @@ def test_chart_matches_brute_force_oracle_random_slice():
             assert len(set(node.derivations)) == len(node.derivations)
 
 
+def test_each_active_edge_meets_each_passive_once():
+    # S -> y . y is made after node 1 (y at 1) and meets it then; the
+    # agenda, taking node 1 later, must not combine them again.
+    chart = parse(["y", "y"], grammar_of(("S", ("y", "y"))))
+    assert [n.derivations for n in chart.nodes[2:]] == [[(0, (0, 1))]]
+    # S -> x . S is stamped 3 (nodes 0-2 exist when it is made); node 3,
+    # S at 1, is the next node made, so the agenda must still combine them.
+    chart = parse(["x", "x"], grammar_of(("S", ("x",)), ("S", ("x", "S"))))
+    assert [(n.start, n.end, n.derivations) for n in chart.nodes[2:]] == [
+        (0, 1, [(0, (0,))]),
+        (1, 2, [(0, (1,))]),
+        (0, 2, [(1, (0, 3))]),
+    ]
+
+
 def test_feature_variants_of_start_symbol_all_enumerate():
     grammar = Grammar(
         "S",
