@@ -37,13 +37,16 @@ through a node already on the path, and stopping at an optional limit.
 :func:`complete_parses` first counts the start symbol's trees with
 :func:`_count_trees`, which gives up past ``TREE_LIMIT``, and only then
 reads them all; :func:`chunks` reads one tree per chosen constituent.
+Trees are :class:`ParseTree` values, a :class:`typing.NamedTuple`
+built once per tree node: immutable and hashable, and, being a tuple,
+a tree unpacks, has a ``len`` and equals a plain tuple of its fields.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import EmptyInput, TooAmbiguous
 from .resources import Category, Grammar
@@ -66,8 +69,7 @@ TREE_LIMIT = 256
 Derivation = tuple[int | None, tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class ParseTree:
+class ParseTree(NamedTuple):
     category: Category
     start: int
     end: int
@@ -133,9 +135,6 @@ class Chart:
 
     def node(self, node_id: int) -> _Node:
         return self.nodes[node_id]
-
-    def passives_from(self, start: int) -> list[_Node]:
-        return [self.nodes[i] for i in self._by_start.get(start, ())]
 
 
 def parse(

@@ -30,6 +30,7 @@ from .parsing import ParseTree, chunks, complete_parses, parse
 from .resources import (
     ResourceBundle,
     _attrs,
+    _esc,
     _parse_bundle_bytes,
     _read_bundle_bytes,
     validate_bundle,
@@ -275,25 +276,21 @@ def _sid(analysis_index: int) -> str:
 
 
 def _token_line(token: Token, annotated: TaggedToken | None, indent: str) -> str:
-    attrs = [
-        ("id", str(token.id)),
-        ("off", str(token.offset)),
-        ("len", str(token.length)),
-        ("form", token.form),
-    ]
-    if annotated is not None:
-        attrs.append(("tag0", annotated.source_tag))
-        if annotated.parser_tag is not None:
-            attrs.append(("tag", annotated.parser_tag))
-        if annotated.semclass is not None:
-            attrs.append(("sem", annotated.semclass))
-        if annotated.concept is not None:
-            attrs.append(("concept", annotated.concept))
-    return f"{indent}<t{_attrs(attrs)}/>"
+    line = f'{indent}<t id="{token.id}" off="{token.offset}" len="{token.length}" form="{_esc(token.form)}"'
+    if annotated is None:
+        return line + "/>"
+    line += f' tag0="{_esc(annotated.source_tag)}"'
+    if annotated.parser_tag is not None:
+        line += f' tag="{_esc(annotated.parser_tag)}"'
+    if annotated.semclass is not None:
+        line += f' sem="{_esc(annotated.semclass)}"'
+    if annotated.concept is not None:
+        line += f' concept="{_esc(annotated.concept)}"'
+    return line + "/>"
 
 
 def _tree_xml(tree: ParseTree, parse_input: Sequence[TaggedToken], indent: str) -> list[str]:
-    rendered = _attrs([("cat", tree.category.name), *tree.category.features])
+    rendered = f' cat="{_esc(tree.category.name)}"{_attrs(tree.category.features)}'
     if tree.is_leaf:
         token_id = parse_input[tree.start].token.id
         return [f'{indent}<node{rendered} ref="{token_id}"/>']

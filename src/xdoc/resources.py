@@ -839,6 +839,8 @@ def validate_bundle(bundle: ResourceBundle) -> list[Finding]:
     means every grammar terminal is a tagset-map target, every tag the
     tagger can produce is mappable, frames and patterns only reference
     material that exists, and the grammar has no unary rule cycles.
+    A bundle with neither lexicon entries nor a default tag draws only a
+    warning: it cannot tag raw text, but it still analyzes tag files.
     """
     findings: list[Finding] = []
     domain = set(bundle.tagset_map)
@@ -892,9 +894,21 @@ def validate_bundle(bundle: ResourceBundle) -> list[Finding]:
                         f"tag {tag!r} has no tagset mapping",
                     )
                 )
-    if bundle.tag_lexicon and bundle.default_tag is None:
+    if bundle.default_tag is None and bundle.tag_lexicon:
         findings.append(
             _finding("MissingDefaultTag", "taglexicon", "lexicon entries present but no default tag")
+        )
+    elif bundle.default_tag is None:
+        # Every form is unknown then, and a sentence's first token never
+        # takes the capitalized tag, so initial_tag fails on any raw text.
+        findings.append(
+            Finding(
+                "warning",
+                "MissingDefaultTag",
+                "taglexicon",
+                "no lexicon entries and no default tag: raw text cannot be tagged,"
+                " only --external-tags input works",
+            )
         )
     if bundle.default_tag is not None and bundle.default_tag not in domain:
         findings.append(

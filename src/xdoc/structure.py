@@ -4,13 +4,17 @@ Both operations are language independent; the only language-dependent
 input is the abbreviation set taken from the resource bundle.  Offsets
 are byte offsets into the UTF-8 encoding of the source text so that
 annotations stay bit-exact regardless of platform string handling.
+
+:class:`Token` and :class:`Sentence` are :class:`typing.NamedTuple`
+records: immutable and hashable like any tuple, cheap to build once
+per token, and, being tuples, they unpack, have a ``len`` and equal a
+plain tuple of the same values.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 __all__ = [
     "PUNCTUATION",
@@ -32,16 +36,14 @@ _RUN = re.compile(r"\S+")
 _PARAGRAPH = re.compile(r"\n[ \t\r]*\n")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     id: int
     form: str
     offset: int  # byte offset into the UTF-8 source
     length: int  # byte length
 
 
-@dataclass(frozen=True)
-class Sentence:
+class Sentence(NamedTuple):
     id: int
     tokens: tuple[Token, ...]
 

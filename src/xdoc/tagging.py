@@ -6,13 +6,17 @@ followed by ordered transformation rules that patch tags in context.
 Externally produced taggings can be imported from a tab-separated file
 instead.  Either way the source tagset is then mapped onto the smaller
 tagset the grammar's terminals use.
+
+:class:`TaggedToken` is a :class:`typing.NamedTuple`, like the
+:class:`~xdoc.structure.Token` it wraps: immutable, hashable, cheap to
+build per token, and a tuple, so it unpacks, has a ``len`` and equals a
+plain tuple of the same values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InputError, MalformedLine, ResourceError, UnmappedTag
 from .resources import _TRIGGER_OFFSETS, ContextRule, ResourceBundle
@@ -27,8 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TaggedToken:
+class TaggedToken(NamedTuple):
     """A token plus its accumulated annotations.
 
     ``source_tag`` is the tag in the upstream tagger's tagset;

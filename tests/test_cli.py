@@ -137,6 +137,29 @@ def test_analyze_lenient_with_external_tags_succeeds(en_bio_path, tmp_path):
     assert '<rel type="inhibits"' in body
 
 
+
+def test_empty_lexicon_without_default_warns_and_takes_only_tag_files(en_bio_path, tmp_path, capsys):
+    source = Path(en_bio_path).read_text(encoding="utf-8")
+    start, end = source.index("<taglexicon"), source.index("</taglexicon>") + len("</taglexicon>")
+    bundle = tmp_path / "no-lexicon.xml"
+    bundle.write_text(source[:start] + "<taglexicon/>" + source[end:], encoding="utf-8")
+    assert main(["validate", str(bundle)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("warning: MissingDefaultTag at taglexicon: ")
+    assert "raw text cannot be tagged" in out and "--external-tags" in out
+
+    text = tmp_path / "doc.txt"
+    text.write_text(ASPIRIN, encoding="utf-8")
+    assert main(["analyze", "--bundle", str(bundle), "--input", str(text), "--lenient"]) == 1
+    assert "no default tag for unknown forms" in capsys.readouterr().err
+
+    tags = tmp_path / "tags.tsv"
+    tags.write_text("Aspirin\tNNP\ninhibits\tVBZ\ncyclooxygenase\tNN\n", encoding="utf-8")
+    xml_out = tmp_path / "out.xml"
+    code = main(["analyze", "--bundle", str(bundle), "--external-tags", str(tags), "--output", str(xml_out)])
+    assert code == 0
+    assert '<rel type="inhibits"' in xml_out.read_text(encoding="utf-8")
+
 def test_tag_prints_three_columns(en_bio_path, tmp_path, capsys):
     text = tmp_path / "doc.txt"
     text.write_text(ASPIRIN, encoding="utf-8")

@@ -12,15 +12,21 @@ from hypothesis import strategies as st
 
 from xdoc import pipeline
 from xdoc.errors import MalformedResource, ResourceError, UnmappedTag
+from xdoc.parsing import ParseTree
 from xdoc.pipeline import (
     STAGES,
+    AnnotatedDocument,
+    SentenceAnalysis,
     analyze_text,
     check_stages,
     emit_xml,
     export_relations,
     run_pipeline,
 )
-from xdoc.resources import load_bundle
+from xdoc.resources import Category, load_bundle
+from xdoc.semantics import Diagnostic
+from xdoc.structure import Sentence, Token
+from xdoc.tagging import TaggedToken
 
 ASPIRIN = "Aspirin inhibits cyclooxygenase ."
 GERMAN_OVS = "Den Katalysator hemmt der Wirkstoff ."
@@ -251,6 +257,72 @@ def test_emit_xml_reports_diagnostics(en_bio_path, tmp_path):
     diag = root.find("./sentence/diagnostics/diag")
     assert diag is not None
     assert diag.get("code") == "UnmappedTag"
+
+
+# Exact output taken from the pair-list writer that came before the
+# f-string one.  The benchmark corpora hold none of these characters, so
+# their digests cannot catch an escaping slip.
+ESCAPED_XML = '''\
+<document lang="e&quot;n&amp;">
+  <sentence id="s1">
+    <tokens>
+      <t id="0" off="0" len="8" form="a&amp;b&lt;c&gt;&quot;d" tag0="N&amp;&quot;" tag="N&lt;1&gt;" sem="sem&amp;&quot;" concept="C&lt;&amp;&gt;&quot;&#9;"/>
+      <t id="1" off="9" len="8" form="tab&#9;here" tag0="V&#9;" tag="V&#13;&#10;"/>
+      <t id="2" off="18" len="9" form="cr&#13;lf&#10;end" tag0="X&gt;" sem="s&#13;c"/>
+      <t id="3" off="28" len="12" form="Größe→ü" tag0="Ä" tag="Ä" sem="ß" concept="Größe→"/>
+    </tokens>
+    <parse>
+      <node cat="NP&amp;&lt;&gt;&quot;" case="n&quot;&#9;&lt;" num="&#13;&#10;ü">
+        <node cat="N&lt;1&gt;" ref="0"/>
+        <node cat="VP">
+          <node cat="V&#13;&#10;" ref="1"/>
+          <node cat="X" ref="2"/>
+        </node>
+        <node cat="Ä" ref="3"/>
+      </node>
+    </parse>
+    <diagnostics>
+      <diag code="C&amp;&quot;" detail="d&lt;&#9;&#13;&#10;&gt;é"/>
+    </diagnostics>
+  </sentence>
+  <sentence id="s2">
+    <tokens>
+      <t id="0" off="0" len="8" form="a&amp;b&lt;c&gt;&quot;d"/>
+      <t id="1" off="9" len="8" form="tab&#9;here"/>
+    </tokens>
+  </sentence>
+</document>
+'''
+
+
+def test_emit_xml_escapes_every_attribute_value_exactly():
+    forms = ['a&b<c>"d', "tab\there", "cr\rlf\nend", "Größe→ü"]
+    tokens, off = [], 0
+    for i, form in enumerate(forms):
+        tokens.append(Token(i, form, off, len(form.encode("utf-8"))))
+        off += tokens[-1].length + 1
+    tagged = (
+        TaggedToken(tokens[0], 'N&"', "N<1>", "a", 'sem&"', 'C<&>"\t'),
+        TaggedToken(tokens[1], "V\t", "V\r\n"),
+        TaggedToken(tokens[2], "X>", None, None, "s\rc", None),
+        TaggedToken(tokens[3], "Ä", "Ä", "größe", "ß", "Größe→"),
+    )
+
+    def leaf(i):
+        return ParseTree(Category(tagged[i].parser_tag or "X"), i, i + 1)
+
+    vp = ParseTree(Category("VP"), 1, 3, (leaf(1), leaf(2)), 0, 1)
+    np = Category('NP&<>"', {"case": 'n"\t<', "num": "\r\nü"})
+    analyses = [
+        SentenceAnalysis(
+            Sentence(0, tuple(tokens)), tagged=tagged, parse_input=tagged,
+            tree=ParseTree(np, 0, 4, (leaf(0), vp, leaf(3)), 0, 0),
+            diagnostics=(Diagnostic('C&"', "d<\t\r\n>é"),),
+        ),
+        SentenceAnalysis(Sentence(1, tuple(tokens[:2]))),
+    ]
+    xml = emit_xml(AnnotatedDocument('e"n&', tuple(tokens), analyses))
+    assert xml == ESCAPED_XML
 
 
 # -- relation table

@@ -117,6 +117,7 @@ def test_validate_is_pure(en_bio):
 
 def test_validate_dangling_fill_concept():
     doc = """<resources lang="en">
+      <taglexicon default="VBZ"/>
       <tagmap><map from="VBZ" to="V"/></tagmap>
       <semlex><entry lemma="inhibit" pos="V" semclass="x"/></semlex>
       <frames><frame id="f" predicate="inhibit" relation="r">
@@ -130,6 +131,7 @@ def test_validate_dangling_fill_concept():
 
 def test_validate_unreachable_terminal():
     doc = """<resources lang="en">
+      <taglexicon default="NN"/>
       <tagmap><map from="NN" to="N"/></tagmap>
       <grammar start="S" gf="positional">
         <rule lhs="S" head="1"><cat name="N"/><cat name="ADJ"/></rule>
@@ -153,6 +155,7 @@ def test_validate_unmappable_lexicon_and_rule_tags():
 
 def test_validate_unknown_semlex_pos():
     doc = """<resources lang="en">
+      <taglexicon default="NN"/>
       <tagmap><map from="NN" to="N"/></tagmap>
       <semlex><entry lemma="x" pos="ADJ" semclass="c"/></semlex>
     </resources>"""
@@ -162,6 +165,7 @@ def test_validate_unknown_semlex_pos():
 
 def test_validate_unknown_pattern_category():
     doc = """<resources lang="en">
+      <taglexicon default="NN"/>
       <tagmap><map from="NN" to="N"/></tagmap>
       <structmap><pattern id="p" cat="XP" relation="has" arg1="1" arg2="2">
         <m name="N"/><m name="N"/>
@@ -173,6 +177,7 @@ def test_validate_unknown_pattern_category():
 
 def test_validate_unary_rule_cycle():
     doc = """<resources lang="en">
+      <taglexicon default="T"/>
       <tagmap><map from="T" to="A"/></tagmap>
       <grammar start="A" gf="positional">
         <rule lhs="A" head="1"><cat name="B"/></rule>
@@ -267,6 +272,17 @@ def test_validate_flags_lexicon_without_default():
     findings = validate_bundle(loads_bundle(doc))
     assert [f.code for f in findings] == ["MissingDefaultTag"]
 
+
+
+def test_validate_warns_on_empty_lexicon_without_default():
+    doc = """<resources lang="en">
+      <taglexicon capitalized="NN"/>
+      <tagmap><map from="NN" to="N"/></tagmap>
+    </resources>"""
+    findings = validate_bundle(loads_bundle(doc))
+    assert [(f.severity, f.code, f.location) for f in findings] == [
+        ("warning", "MissingDefaultTag", "taglexicon")
+    ]
 
 BAD_DOCUMENTS = [
     ("<notresources/>", "root element"),
