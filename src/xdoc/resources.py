@@ -539,8 +539,9 @@ def _write_tagmap(bundle: ResourceBundle) -> list[str]:
 
 
 # Feature keys that a grammar category cannot carry: a <rule> element's
-# own attributes and a <cat> element's name.
-_RULE_RESERVED = frozenset({"lhs", "head", "name"})
+# own attributes, a <cat> element's name, and the attributes that
+# pipeline.emit_xml writes next to a parse node's features.
+_RULE_RESERVED = frozenset({"lhs", "head", "name", "cat", "ref"})
 
 
 def _read_category(elem: ET.Element, location: str) -> Category:
@@ -574,7 +575,10 @@ def _read_grammar(elem: ET.Element, location: str) -> dict:
         head = _int_attr(child, "head", loc)
         if "name" in child.attrib:
             raise MalformedResource(loc, "feature key 'name' is reserved")
-        lhs_features = {k: v for k, v in child.attrib.items() if k not in _RULE_RESERVED}
+        lhs_features = {k: v for k, v in child.attrib.items() if k not in ("lhs", "head")}
+        bad = set(lhs_features) & _RULE_RESERVED
+        if bad:
+            raise MalformedResource(loc, f"feature keys {sorted(bad)} are reserved")
         rhs = tuple(
             _read_category(cat, f"{loc}/cat[{j}]")
             for j, cat in enumerate(_children(child, {"cat"}, loc), 1)

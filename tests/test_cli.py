@@ -316,17 +316,23 @@ def test_document_level_bundle_error_names_the_file(tmp_path, capsys, command, c
 # One argparse parser serves every main call in a process.
 
 
-def _fresh_process(argv: list[str]) -> tuple[int, str, str]:
-    env = dict(os.environ)
+def _run_module(argv: list[str], env: dict[str, str] | None = None, stdout=subprocess.PIPE):
+    """``python -m xdoc argv`` in a fresh process that imports this xdoc."""
+    env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = str(Path(xdoc.__file__).parent.parent) + os.pathsep + env.get(
         "PYTHONPATH", ""
     )
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "xdoc", *argv],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         env=env,
         stdin=subprocess.DEVNULL,
     )
+
+
+def _fresh_process(argv: list[str]) -> tuple[int, str, str]:
+    done = _run_module(argv)
     return done.returncode, done.stdout.decode("utf-8"), done.stderr.decode("utf-8")
 
 
@@ -359,3 +365,142 @@ def test_back_to_back_main_calls_match_fresh_processes(en_bio_path, de_core_path
     assert [code for code, _, _ in in_process] == [0, 3, 0, 0, 0, 0, 0, 2, 0, 0]
     assert in_process == [_fresh_process(argv) for argv in calls]
     assert xdoc.cli._parser() is xdoc.cli._parser()
+
+
+# Output files are overwritten in place; stdout gets the same UTF-8 bytes.
+
+
+def _analyze_into(bundle: str, doc: str, *outputs: str) -> int:
+    argv = ["analyze", "--bundle", bundle, "--input", doc, "--lenient"]
+    for option, path in zip(("--output", "--relations-tsv"), outputs):
+        argv += [option, path]
+    return main(argv)
+
+
+def _expected_xml(bundle: str, doc: str, tmp_path) -> bytes:
+    fresh = tmp_path / "fresh.xml"
+    assert _analyze_into(bundle, doc, str(fresh)) == 0
+    return fresh.read_bytes()
+
+
+@pytest.mark.parametrize("option", ["--output", "--relations-tsv"])
+@pytest.mark.parametrize("case", ["directory", "missing-parent", "dev-full"])
+def test_unwritable_output_is_an_input_error(en_bio_path, tmp_path, capsys, option, case):
+    target = {
+        "directory": str(tmp_path),
+        "missing-parent": str(tmp_path / "no" / "such" / "out"),
+        "dev-full": "/dev/full",
+    }[case]
+    if case == "dev-full" and not os.path.exists(target):
+        pytest.skip("no /dev/full here")
+    argv = ["analyze", "--bundle", en_bio_path, "--input", _doc(tmp_path), option, target]
+    if option == "--relations-tsv":
+        argv += ["--output", str(tmp_path / "doc.xml")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"input error: cannot write {target}: ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+def test_unwritable_stdout_is_an_input_error(en_bio_path, tmp_path):
+    with open("/dev/full", "wb") as full:
+        done = _run_module(["analyze", "--bundle", en_bio_path, "--input", _doc(tmp_path)], stdout=full)
+    assert done.returncode == 2
+    assert done.stderr.decode("utf-8").startswith("input error: cannot write stdout: ")
+
+
+def test_shorter_rewrite_leaves_exactly_the_new_bytes(en_bio_path, tmp_path):
+    doc = _doc(tmp_path)
+    expected = _expected_xml(en_bio_path, doc, tmp_path)
+    out = tmp_path / "out.xml"
+    out.write_bytes(b"x" * (4 * len(expected)))
+    assert _analyze_into(en_bio_path, doc, str(out)) == 0
+    assert out.read_bytes() == expected
+
+
+@pytest.mark.parametrize("link", ["symlink", "hardlink"])
+def test_rewrite_through_a_link_keeps_the_target_file(en_bio_path, tmp_path, link):
+    doc = _doc(tmp_path)
+    target = tmp_path / "target.xml"
+    target.write_bytes(b"old contents, longer than nothing\n")
+    target.chmod(0o640)
+    alias = tmp_path / "alias.xml"
+    if link == "symlink":
+        alias.symlink_to(target)
+    else:
+        os.link(target, alias)
+    before = target.stat()
+    assert _analyze_into(en_bio_path, doc, str(alias)) == 0
+    after = target.stat()
+    assert (after.st_ino, after.st_mode, after.st_nlink) == (before.st_ino, before.st_mode, before.st_nlink)
+    assert alias.is_symlink() == (link == "symlink")
+    assert target.read_bytes() == _expected_xml(en_bio_path, doc, tmp_path)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null here")
+def test_output_to_dev_null_succeeds(en_bio_path, tmp_path):
+    assert _analyze_into(en_bio_path, _doc(tmp_path), "/dev/null", "/dev/null") == 0
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
+def test_output_to_a_fifo_succeeds(en_bio_path, tmp_path):
+    import threading
+
+    doc = _doc(tmp_path)
+    expected = _expected_xml(en_bio_path, doc, tmp_path)
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    received: list[bytes] = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert _analyze_into(en_bio_path, doc, str(fifo)) == 0
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert received == [expected]
+
+
+def test_output_and_relations_tsv_on_one_path_end_with_the_tsv(en_bio_path, tmp_path):
+    doc = _doc(tmp_path)
+    tsv = tmp_path / "doc.tsv"
+    assert _analyze_into(en_bio_path, doc, str(tmp_path / "doc.xml"), str(tsv)) == 0
+    both = tmp_path / "both"
+    assert _analyze_into(en_bio_path, doc, str(both), str(both)) == 0
+    assert both.read_bytes() == tsv.read_bytes()
+
+
+def test_new_file_mode_matches_path_write_text(en_bio_path, tmp_path):
+    doc = _doc(tmp_path)
+    old = os.umask(0o002)  # 0o664 for a file created with mode 0o666
+    try:
+        assert _analyze_into(en_bio_path, doc, str(tmp_path / "new.xml")) == 0
+        (tmp_path / "reference.xml").write_text("", encoding="utf-8")
+    finally:
+        os.umask(old)
+    assert (tmp_path / "new.xml").stat().st_mode == (tmp_path / "reference.xml").stat().st_mode
+
+
+GERMAN = "Das Enzym hemmt Müller .\n"
+
+
+@pytest.mark.parametrize(
+    "locale_env",
+    [
+        {"PYTHONIOENCODING": "ascii"},
+        {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"},
+    ],
+    ids=["ascii-io", "c-locale"],
+)
+def test_stdout_is_utf8_whatever_the_locale(de_core_path, tmp_path, locale_env):
+    doc = tmp_path / "doc.txt"
+    doc.write_text(GERMAN, encoding="utf-8")
+    out = tmp_path / "out.xml"
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONIOENCODING", "PYTHONUTF8")}
+    env.update(locale_env)
+    analyze = ["analyze", "--bundle", de_core_path, "--input", str(doc), "--lenient"]
+    to_stdout = _run_module(analyze, env)
+    to_file = _run_module([*analyze, "--output", str(out)], env)
+    tag = _run_module(["tag", "--bundle", de_core_path, "--input", str(doc)], env)
+    assert (to_stdout.returncode, to_file.returncode, tag.returncode) == (0, 0, 0)
+    assert "Müller" in out.read_text(encoding="utf-8")
+    assert to_stdout.stdout == out.read_bytes()
+    assert tag.stdout.decode("utf-8").startswith("Das\t")
+    assert "Müller\t" in tag.stdout.decode("utf-8")

@@ -225,6 +225,37 @@ def test_serialize_refuses_reserved_rule_lhs_keys(key):
         serialize_bundle(bundle)
 
 
+@pytest.mark.parametrize("side", ["lhs", "rhs"])
+@pytest.mark.parametrize("key", ["cat", "ref"])
+def test_serialize_refuses_the_xml_writers_attribute_names(key, side):
+    # emit_xml writes a parse node's features next to its own cat and ref
+    # attributes, so a feature with either name would duplicate one.
+    lhs = Category("S", {key: "x"} if side == "lhs" else {})
+    rhs = Category("A", {key: "x"} if side == "rhs" else {})
+    bundle = ResourceBundle(lang="en", grammar=Grammar("S", (GrammarRule(lhs, (rhs,), 1),)))
+    with pytest.raises(ValueError, match="reserved"):
+        serialize_bundle(bundle)
+
+
+@pytest.mark.parametrize(
+    "rule,location",
+    [
+        ('<rule lhs="S" head="2" {key}="x"><cat name="NP"/><cat name="VP"/></rule>', "rule[1]"),
+        ('<rule lhs="S" head="2"><cat name="NP"/><cat name="VP" {key}="x"/></rule>', "rule[1]/cat[2]"),
+    ],
+    ids=["lhs", "rhs"],
+)
+@pytest.mark.parametrize("key", ["cat", "ref"])
+def test_loader_refuses_the_xml_writers_attribute_names(en_bio_path, key, rule, location):
+    with open(en_bio_path, encoding="utf-8") as f:
+        document = f.read()
+    shipped = '<rule lhs="S" head="2"><cat name="NP"/><cat name="VP"/></rule>'
+    assert shipped in document
+    with pytest.raises(MalformedResource) as exc:
+        loads_bundle(document.replace(shipped, rule.format(key=key)))
+    assert str(exc.value) == f"grammar/{location}: feature keys ['{key}'] are reserved"
+
+
 def test_serialize_escapes_attribute_values():
     bundle = replace(
         loads_bundle('<resources lang="en"/>'),
