@@ -50,6 +50,14 @@ def _read_text(path: str) -> str:
 _WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
 
 
+def _write_all(write, data: bytes) -> None:
+    """Call ``write`` until it has taken all of ``data`` (it may take part)."""
+    view = memoryview(data)
+    written = 0
+    while written < len(view):
+        written += write(view[written:])
+
+
 def _write_output(path: str | None, text: str) -> None:
     """Write ``text`` as UTF-8 bytes to ``path``, or to stdout for ``-`` or None.
 
@@ -57,21 +65,31 @@ def _write_output(path: str | None, text: str) -> None:
     written length if it is a regular file (a FIFO or device is not cut).  So
     it keeps its inode, links and permissions, a symlink is followed, and a
     new file gets its mode from the umask, as with ``open(path, "w")``.
+
+    Stdout's bytes go past its buffer to the stream under it, after the
+    text and byte layers are flushed.  A failed write then leaves nothing
+    buffered, so it is reported here and not again at interpreter exit.
+    A stdout without a byte buffer (``io.StringIO``, some IDEs) takes the
+    text as it is.
     """
-    data = text.encode("utf-8")
     to_stdout = path is None or path == "-"
     try:
         if to_stdout:
             sys.stdout.flush()
-            sys.stdout.buffer.write(data)
+            out = getattr(sys.stdout, "buffer", None)
+            if out is None:
+                sys.stdout.write(text)
+                sys.stdout.flush()
+            else:
+                out.flush()
+                _write_all(getattr(out, "raw", out).write, text.encode("utf-8"))
             return
+        data = text.encode("utf-8")
         fd = os.open(path, _WRITE_FLAGS, 0o666)
         try:
-            written = 0
-            while written < len(data):
-                written += os.write(fd, data[written:])
+            _write_all(functools.partial(os.write, fd), data)
             if stat.S_ISREG(os.fstat(fd).st_mode):
-                os.ftruncate(fd, written)
+                os.ftruncate(fd, len(data))
         finally:
             os.close(fd)
     except OSError as exc:

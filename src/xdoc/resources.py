@@ -99,6 +99,18 @@ class Category:
         return f"{self.name}[{inner}]"
 
 
+# Feature keys that a grammar category cannot carry: a <rule> element's
+# own attributes, a <cat> element's name, and the attributes that
+# pipeline.emit_xml writes next to a parse node's features.
+_RULE_RESERVED = frozenset({"lhs", "head", "name", "cat", "ref"})
+
+
+def _check_unreserved(cat: Category) -> None:
+    bad = sorted({k for k, _ in cat.features} & _RULE_RESERVED)
+    if bad:
+        raise ValueError(f"feature keys {bad} are reserved")
+
+
 @dataclass(frozen=True)
 class GrammarRule:
     lhs: Category
@@ -110,6 +122,8 @@ class GrammarRule:
             raise ValueError("rule right-hand side must be non-empty")
         if not 1 <= self.head <= len(self.rhs):
             raise ValueError(f"head index {self.head} outside rhs of length {len(self.rhs)}")
+        for cat in (self.lhs, *self.rhs):
+            _check_unreserved(cat)
 
 
 @dataclass
@@ -538,29 +552,15 @@ def _write_tagmap(bundle: ResourceBundle) -> list[str]:
     return _section("tagmap", maps, attrs)
 
 
-# Feature keys that a grammar category cannot carry: a <rule> element's
-# own attributes, a <cat> element's name, and the attributes that
-# pipeline.emit_xml writes next to a parse node's features.
-_RULE_RESERVED = frozenset({"lhs", "head", "name", "cat", "ref"})
-
-
 def _read_category(elem: ET.Element, location: str) -> Category:
     name = _require(elem, "name", location)
     features = {k: v for k, v in elem.attrib.items() if k != "name"}
-    bad = set(features) & _RULE_RESERVED
-    if bad:
-        raise MalformedResource(location, f"feature keys {sorted(bad)} are reserved")
     try:
-        return Category(name, features)
+        cat = Category(name, features)
+        _check_unreserved(cat)
     except ValueError as exc:
         raise MalformedResource(location, str(exc)) from None
-
-
-def _features(cat: Category) -> tuple[tuple[str, str], ...]:
-    """``cat``'s features as attributes; a reserved key cannot be written."""
-    if any(k in _RULE_RESERVED for k, _ in cat.features):
-        raise ValueError(f"category {cat!r} uses a reserved feature key")
-    return cat.features
+    return cat
 
 
 def _read_grammar(elem: ET.Element, location: str) -> dict:
@@ -576,9 +576,6 @@ def _read_grammar(elem: ET.Element, location: str) -> dict:
         if "name" in child.attrib:
             raise MalformedResource(loc, "feature key 'name' is reserved")
         lhs_features = {k: v for k, v in child.attrib.items() if k not in ("lhs", "head")}
-        bad = set(lhs_features) & _RULE_RESERVED
-        if bad:
-            raise MalformedResource(loc, f"feature keys {sorted(bad)} are reserved")
         rhs = tuple(
             _read_category(cat, f"{loc}/cat[{j}]")
             for j, cat in enumerate(_children(child, {"cat"}, loc), 1)
@@ -601,8 +598,8 @@ def _write_grammar(bundle: ResourceBundle) -> list[str]:
         return [f"  <grammar{_attrs(attrs)}/>"] if grammar.start_symbol else []
     rules = []
     for rule in grammar.rules:
-        pairs = [("lhs", rule.lhs.name), *_features(rule.lhs), ("head", str(rule.head))]
-        cats = "".join(f"<cat{_attrs([('name', cat.name), *_features(cat)])}/>" for cat in rule.rhs)
+        pairs = [("lhs", rule.lhs.name), *rule.lhs.features, ("head", str(rule.head))]
+        cats = "".join(f"<cat{_attrs([('name', cat.name), *cat.features])}/>" for cat in rule.rhs)
         rules.append(f"<rule{_attrs(pairs)}>{cats}</rule>")
     return _section("grammar", rules, attrs)
 

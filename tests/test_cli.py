@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -401,11 +403,26 @@ def test_unwritable_output_is_an_input_error(en_bio_path, tmp_path, capsys, opti
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
-def test_unwritable_stdout_is_an_input_error(en_bio_path, tmp_path):
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_unwritable_stdout_is_an_input_error(en_bio_path, tmp_path, unbuffered):
+    # A buffered stdout holds the ~1 kB XML until a flush; the error must
+    # still come from the write, not from the flush at interpreter exit.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = ["analyze", "--bundle", en_bio_path, "--input", _doc(tmp_path)]
     with open("/dev/full", "wb") as full:
-        done = _run_module(["analyze", "--bundle", en_bio_path, "--input", _doc(tmp_path)], stdout=full)
+        done = _run_module(argv, env=env, stdout=full)
     assert done.returncode == 2
     assert done.stderr.decode("utf-8").startswith("input error: cannot write stdout: ")
+
+
+def test_stdout_without_a_byte_buffer_takes_the_text(en_bio_path, tmp_path):
+    doc = _doc(tmp_path)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["analyze", "--bundle", en_bio_path, "--input", doc]) == 0
+    assert out.getvalue().encode("utf-8") == _expected_xml(en_bio_path, doc, tmp_path)
 
 
 def test_shorter_rewrite_leaves_exactly_the_new_bytes(en_bio_path, tmp_path):
