@@ -70,9 +70,11 @@ def _write_output(path: str | None, text: str) -> None:
     text and byte layers are flushed.  A failed write then leaves nothing
     buffered, so it is reported here and not again at interpreter exit.
     A stdout without a byte buffer (``io.StringIO``, some IDEs) takes the
-    text as it is.
+    text as it is.  Surrogate escapes, which a path taken from the command
+    line holds for bytes the locale cannot decode, are written as those bytes.
     """
     to_stdout = path is None or path == "-"
+    data = text.encode("utf-8", "surrogateescape")
     try:
         if to_stdout:
             sys.stdout.flush()
@@ -82,9 +84,8 @@ def _write_output(path: str | None, text: str) -> None:
                 sys.stdout.flush()
             else:
                 out.flush()
-                _write_all(getattr(out, "raw", out).write, text.encode("utf-8"))
+                _write_all(getattr(out, "raw", out).write, data)
             return
-        data = text.encode("utf-8")
         fd = os.open(path, _WRITE_FLAGS, 0o666)
         try:
             _write_all(functools.partial(os.write, fd), data)
@@ -99,12 +100,12 @@ def _write_output(path: str | None, text: str) -> None:
 def _cmd_validate(args: argparse.Namespace) -> int:
     bundle = load_bundle(args.bundle)
     findings = validate_bundle(bundle)
-    for f in findings:
-        print(f"{f.severity}: {f.code} at {f.location}: {f.detail}")
-    if any(f.severity == "error" for f in findings):
-        return EXIT_RESOURCE
-    print(f"{args.bundle}: ok ({bundle.lang})")
-    return EXIT_OK
+    lines = [f"{f.severity}: {f.code} at {f.location}: {f.detail}\n" for f in findings]
+    failed = any(f.severity == "error" for f in findings)
+    if not failed:
+        lines.append(f"{args.bundle}: ok ({bundle.lang})\n")
+    _write_output(None, "".join(lines))
+    return EXIT_RESOURCE if failed else EXIT_OK
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -151,8 +152,8 @@ def _cmd_parse(args: argparse.Namespace) -> int:
     if not tags:
         raise InputError("no tags given")
     chart = parse(tags, bundle.grammar)
-    for tree in complete_parses(chart, bundle.grammar.start_symbol):
-        print(render_bracketed(tree))
+    trees = complete_parses(chart, bundle.grammar.start_symbol)
+    _write_output(None, "".join(render_bracketed(tree) + "\n" for tree in trees))
     return EXIT_OK
 
 

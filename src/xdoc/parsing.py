@@ -341,13 +341,9 @@ def complete_parses(chart: Chart, start_symbol: str) -> list[ParseTree]:
     Trees are enumerated deterministically (rule index, then child
     spans).  Raises :class:`TooAmbiguous` beyond ``TREE_LIMIT`` trees.
     """
-    roots = [
-        node
-        for node in chart.nodes
-        if node.category.name == start_symbol
-        and node.start == 0
-        and node.end == chart.length
-    ]
+    nodes = chart.nodes
+    from_zero = chart._by_start_name.get((0, start_symbol), ())  # ids ascend, as in chart.nodes
+    roots = [nodes[i] for i in from_zero if nodes[i].end == chart.length]
     count_memo: dict[int, int] = {}
     total = sum(_count_trees(chart, node, count_memo, set()) for node in roots)
     if total > TREE_LIMIT:

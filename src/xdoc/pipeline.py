@@ -9,8 +9,8 @@ what a prefix keeps, so a prefix means the same for both inputs.
 Strict runs abort on the first analysis error; lenient runs record a
 diagnostic on the failing sentence and continue with the rest.
 
-A sentence's ``tagged`` holds every token with all its annotations so
-far, and ``parse_input`` is its word subsequence, the same objects.
+A sentence's ``tagged`` holds every token with all its annotations and
+``parse_input`` its words, the same objects; both are set once per sentence.
 Pure punctuation tokens are tagged like everything else but excluded
 from mapping, parsing and semantics: tagset maps cover word classes,
 and sentence terminators carry no constituent structure.
@@ -25,9 +25,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import ResourceError, TooAmbiguous, UnmappedTag
+from .errors import InputError, ResourceError, TooAmbiguous, UnmappedTag
 from .parsing import ParseTree, chunks, complete_parses, parse
 from .resources import (
+    _NOT_XML_IN_WORDS,
     ResourceBundle,
     _attrs,
     _esc,
@@ -74,8 +75,8 @@ def check_stages(stages: Iterable[str]) -> tuple[str, ...]:
 @dataclass
 class SentenceAnalysis:
     """One sentence's analysis.  ``tagged`` holds every token with all its
-    annotations so far; ``parse_input``, set by the map stage, is its word
-    subsequence, made of the same objects."""
+    annotations; ``parse_input``, set once from the map stage on, is its
+    word subsequence, made of the same objects."""
 
     sentence: Sentence
     tagged: tuple[TaggedToken, ...] | None = None
@@ -137,7 +138,7 @@ def _frame_relations(frames: Sequence[FrameInstance], bundle: ResourceBundle) ->
 
 
 def _annotate(analysis: SentenceAnalysis, words: Sequence[TaggedToken]) -> None:
-    """Put annotated words in place in ``tagged``; nothing else writes them back."""
+    """Put annotated words in place in ``tagged``, once per sentence; nothing else writes them back."""
     fresh = iter(words)
     analysis.tagged = tuple(t if is_punctuation(t.token.form) else next(fresh) for t in analysis.tagged)
     analysis.parse_input = tuple(words)
@@ -160,17 +161,16 @@ def _analyze_sentence(
         return
     words = [t for t in analysis.tagged if not is_punctuation(t.token.form)]
     try:
-        mapped = map_tagset(words, bundle.tagset_map)
+        words = map_tagset(words, bundle.tagset_map)
     except UnmappedTag as exc:
         if not lenient:
             raise
         analysis.failed = True
         analysis.diagnostics += (Diagnostic("UnmappedTag", str(exc)),)
         return
-    _annotate(analysis, mapped)
 
-    if "parse" in stages and mapped:
-        chart = parse([t.parser_tag for t in mapped], bundle.grammar)
+    if "parse" in stages and words:
+        chart = parse([t.parser_tag for t in words], bundle.grammar)
         try:
             trees = complete_parses(chart, bundle.grammar.start_symbol)
         except TooAmbiguous as exc:
@@ -183,7 +183,8 @@ def _analyze_sentence(
             analysis.chunk_trees = tuple(chunks(chart))
 
     if "sem" in stages:
-        _annotate(analysis, semantic_tag(analysis.parse_input, bundle))
+        words = semantic_tag(words, bundle)
+    _annotate(analysis, words)
 
     trees = [analysis.tree] if analysis.tree is not None else list(analysis.chunk_trees)
 
@@ -226,8 +227,17 @@ def analyze_text(
     stages: Iterable[str] = STAGES,
     lenient: bool = False,
 ) -> AnnotatedDocument:
-    """Run the stage prefix over raw text with an already loaded bundle."""
+    """Run the stage prefix over raw text with an already loaded bundle.
+
+    Raises :class:`InputError` for a character that XML cannot carry and
+    that could end up in a token: a C0 control other than whitespace,
+    U+FFFE, U+FFFF or a lone surrogate.
+    """
     stages = check_stages(stages)
+    bad = _NOT_XML_IN_WORDS.search(text)
+    if bad is not None:
+        offset = len(text[: bad.start()].encode("utf-8"))
+        raise InputError(f"character U+{ord(bad.group()):04X} at byte offset {offset} cannot be written as XML")
     tokens, sentences = segment(text, bundle.abbreviations)
     analyses = [SentenceAnalysis(s) for s in sentences]
     return _run_stages(bundle, tokens, analyses, stages, lenient)

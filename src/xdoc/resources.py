@@ -22,6 +22,7 @@ the writer both work from these two tables.
 
 from __future__ import annotations
 
+import re
 import threading
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field, fields
@@ -403,6 +404,13 @@ def _esc(value: str) -> str:
 
 def _attrs(pairs: Iterable[tuple[str, str]]) -> str:
     return "".join(f' {key}="{_esc(value)}"' for key, value in pairs)
+
+
+# Characters XML 1.0 cannot carry, escaped or not.  ``\S+`` can take the
+# first set into a word; the rest (\v, \f, \x1c-\x1f) is whitespace to it.
+_NOT_XML_WORD_CHARS = r"\x00-\x08\x0e-\x1b\ufffe\uffff\ud800-\udfff"
+_NOT_XML_IN_WORDS = re.compile(f"[{_NOT_XML_WORD_CHARS}]")
+_NOT_XML = re.compile(rf"[{_NOT_XML_WORD_CHARS}\x0b\x0c\x1c-\x1f]")
 
 
 def _attr_text(value: object) -> str:

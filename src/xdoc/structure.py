@@ -4,6 +4,7 @@ Both operations are language independent; the only language-dependent
 input is the abbreviation set taken from the resource bundle.  Offsets
 are byte offsets into the UTF-8 encoding of the source text so that
 annotations stay bit-exact regardless of platform string handling.
+:func:`segment` walks the text once, noting blank lines as it tokenizes.
 
 :class:`Token` and :class:`Sentence` are :class:`typing.NamedTuple`
 records: immutable and hashable like any tuple, cheap to build once
@@ -14,7 +15,7 @@ plain tuple of the same values.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Container, Iterable, Iterator, Mapping, NamedTuple
 
 __all__ = [
     "PUNCTUATION",
@@ -23,7 +24,6 @@ __all__ = [
     "Sentence",
     "tokenize",
     "split_sentences",
-    "paragraph_breaks",
     "segment",
     "is_punctuation",
 ]
@@ -96,6 +96,47 @@ def _split_run(run: str, abbrevs: Mapping[str, list[str]]) -> Iterator[str]:
         pos = j
 
 
+def _scan(text: str, abbreviations: Iterable[str]) -> tuple[list[Token], set[int]]:
+    """The tokenizer's one walk over ``text``: its tokens, and the ids of
+    the tokens whose preceding whitespace gap holds a blank line."""
+    abbrevs: dict[str, list[str]] = {}
+    for a in sorted((a for a in abbreviations if a), key=len, reverse=True):
+        abbrevs.setdefault(a[0], []).append(a)
+    tokens: list[Token] = []
+    after_blank_line: set[int] = set()
+    char_pos = 0
+    byte_pos = 0
+    for match in _RUN.finditer(text):
+        gap = text[char_pos : match.start()]
+        if "\n" in gap and _PARAGRAPH.search(gap):
+            after_blank_line.add(len(tokens))
+        byte_pos += _blen(gap)
+        for piece in _split_run(match.group(), abbrevs):
+            length = _blen(piece)
+            tokens.append(Token(len(tokens), piece, byte_pos, length))
+            byte_pos += length
+        char_pos = match.end()
+    return tokens, after_blank_line
+
+
+def _group(tokens: Iterable[Token], abbrevs: set[str], breaks: Container[int] = ()) -> list[Sentence]:
+    """End a sentence before each token whose id is in ``breaks`` and after
+    each standalone terminator that is not an abbreviation."""
+    sentences: list[Sentence] = []
+    current: list[Token] = []
+    for token in tokens:
+        if current and token.id in breaks:
+            sentences.append(Sentence(len(sentences), tuple(current)))
+            current = []
+        current.append(token)
+        if token.form in TERMINATORS and token.form not in abbrevs:
+            sentences.append(Sentence(len(sentences), tuple(current)))
+            current = []
+    if current:
+        sentences.append(Sentence(len(sentences), tuple(current)))
+    return sentences
+
+
 def tokenize(text: str, abbreviations: Iterable[str] = ()) -> list[Token]:
     """Split text into tokens with byte offsets.
 
@@ -103,20 +144,7 @@ def tokenize(text: str, abbreviations: Iterable[str] = ()) -> list[Token]:
     punctuation stay inside tokens (``COX-2`` and ``3.5`` are single
     tokens); an abbreviation such as ``Dr.`` keeps its period.
     """
-    abbrevs: dict[str, list[str]] = {}
-    for a in sorted((a for a in abbreviations if a), key=len, reverse=True):
-        abbrevs.setdefault(a[0], []).append(a)
-    tokens: list[Token] = []
-    char_pos = 0
-    byte_pos = 0
-    for match in _RUN.finditer(text):
-        byte_pos += _blen(text[char_pos : match.start()])
-        for piece in _split_run(match.group(), abbrevs):
-            length = _blen(piece)
-            tokens.append(Token(len(tokens), piece, byte_pos, length))
-            byte_pos += length
-        char_pos = match.end()
-    return tokens
+    return _scan(text, abbreviations)[0]
 
 
 def split_sentences(
@@ -130,29 +158,7 @@ def split_sentences(
     unless the abbreviation set itself lists a bare terminator.  A final
     run without terminator still forms a sentence.
     """
-    abbrev_set = set(abbreviations)
-    sentences: list[Sentence] = []
-    current: list[Token] = []
-    for token in tokens:
-        current.append(token)
-        if token.form in TERMINATORS and token.form not in abbrev_set:
-            sentences.append(Sentence(len(sentences), tuple(current)))
-            current = []
-    if current:
-        sentences.append(Sentence(len(sentences), tuple(current)))
-    return sentences
-
-
-def paragraph_breaks(text: str) -> list[int]:
-    """Byte offsets at which a blank-line gap starts, ascending."""
-    breaks: list[int] = []
-    char_pos = 0
-    byte_pos = 0
-    for match in _PARAGRAPH.finditer(text):
-        byte_pos += _blen(text[char_pos : match.start()])
-        char_pos = match.start()
-        breaks.append(byte_pos)
-    return breaks
+    return _group(tokens, set(abbreviations))
 
 
 def segment(text: str, abbreviations: Iterable[str] = ()) -> tuple[list[Token], list[Sentence]]:
@@ -162,28 +168,5 @@ def segment(text: str, abbreviations: Iterable[str] = ()) -> tuple[list[Token], 
     they produce no structure element of their own.
     """
     abbrevs = set(abbreviations)
-    tokens = tokenize(text, abbrevs)
-    sentences = split_sentences(tokens, abbrevs)
-    breaks = paragraph_breaks(text)
-    if not breaks:
-        return tokens, sentences
-
-    # Tokens and breaks both ascend, so one pointer walks the breaks: it
-    # stops at the first break at or after the previous token's end, and
-    # a gap holds a break iff that break lies before the next token.
-    resplit: list[Sentence] = []
-    b = 0
-    for sentence in sentences:
-        current: list[Token] = []
-        for token in sentence.tokens:
-            if current:
-                prev_end = current[-1].offset + current[-1].length
-                while b < len(breaks) and breaks[b] < prev_end:
-                    b += 1
-                if b < len(breaks) and breaks[b] < token.offset:
-                    resplit.append(Sentence(len(resplit), tuple(current)))
-                    current = []
-            current.append(token)
-        if current:
-            resplit.append(Sentence(len(resplit), tuple(current)))
-    return tokens, resplit
+    tokens, after_blank_line = _scan(text, abbrevs)
+    return tokens, _group(tokens, abbrevs, after_blank_line)

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InputError, MalformedLine, ResourceError, UnmappedTag
-from .resources import _TRIGGER_OFFSETS, ContextRule, ResourceBundle
+from .resources import _NOT_XML, _TRIGGER_OFFSETS, ContextRule, ResourceBundle
 from .structure import Sentence, Token
 
 __all__ = [
@@ -116,7 +116,8 @@ def import_external_tags(path: str | Path) -> list[list[TaggedToken]]:
     A blank line ends a sentence.  Token offsets are synthesized as if
     the forms were joined by single spaces.  Raises
     :class:`MalformedLine` when a non-blank line does not contain
-    exactly one tab.
+    exactly one tab, and :class:`InputError` for a character that XML
+    cannot carry, since forms and tags reach the XML output as they are.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -124,6 +125,10 @@ def import_external_tags(path: str | Path) -> list[list[TaggedToken]]:
         raise InputError(f"cannot read tag file {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise InputError(f"tag file {path} is not valid UTF-8: {exc}") from None
+    bad = _NOT_XML.search(text)
+    if bad is not None:
+        lineno = text.count("\n", 0, bad.start()) + 1
+        raise InputError(f"tag file {path} line {lineno}: character U+{ord(bad.group()):04X} cannot be written as XML")
     sentences: list[list[TaggedToken]] = []
     current: list[TaggedToken] = []
     byte_pos = 0

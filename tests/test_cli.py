@@ -5,6 +5,7 @@ import io
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -242,6 +243,41 @@ def _doc(tmp_path) -> str:
     return str(path)
 
 
+# Input that XML cannot carry is refused before any output is written.
+
+
+@pytest.mark.parametrize(
+    "source, content, message",
+    [
+        ("text", b"Aspirin\x01 inhibits cyclooxygenase .\n",
+         "character U+0001 at byte offset 7 cannot be written as XML"),
+        ("text", b"Aspirin inhibits \xef\xbf\xbf .\n",
+         "character U+FFFF at byte offset 17 cannot be written as XML"),
+        ("tags", b"Aspirin\tNNP\nA\x01\tNN\n", "line 2: character U+0001 cannot be written as XML"),
+        ("tags", b"Aspirin\tNN\x0bP\n", "line 1: character U+000B cannot be written as XML"),
+    ],
+    ids=["text-control", "text-uffff", "tags-control", "tags-vertical-tab"],
+)
+def test_character_xml_cannot_carry_is_an_input_error(en_bio_path, tmp_path, capsys, source, content, message):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    option = "--input" if source == "text" else "--external-tags"
+    assert main(["analyze", "--bundle", en_bio_path, "--lenient", option, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ")
+    assert captured.err.rstrip("\n").endswith(message)
+
+
+def test_whitespace_xml_cannot_carry_still_separates_words(en_bio_path, tmp_path, capsys):
+    doc = tmp_path / "doc.txt"
+    doc.write_bytes(b"Aspirin\x0cinhibits\x0b\x1c cyclooxygenase\x1f.\n")
+    assert main(["analyze", "--bundle", en_bio_path, "--input", str(doc)]) == 0
+    root = ET.fromstring(capsys.readouterr().out)
+    assert [t.get("form") for t in root.iter("t")] == ["Aspirin", "inhibits", "cyclooxygenase", "."]
+    assert root.find("sentence/relations/rel").get("type") == "inhibits"
+
+
 @pytest.mark.parametrize("input_arg", ["/no/such/file", "-", None])
 def test_analyze_rejects_input_with_external_tags(en_bio_path, tmp_path, capsys, input_arg):
     tags = tmp_path / "tags.tsv"
@@ -410,11 +446,15 @@ def test_unwritable_stdout_is_an_input_error(en_bio_path, tmp_path, unbuffered):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    argv = ["analyze", "--bundle", en_bio_path, "--input", _doc(tmp_path)]
-    with open("/dev/full", "wb") as full:
-        done = _run_module(argv, env=env, stdout=full)
-    assert done.returncode == 2
-    assert done.stderr.decode("utf-8").startswith("input error: cannot write stdout: ")
+    for argv in (
+        ["analyze", "--bundle", en_bio_path, "--input", _doc(tmp_path)],
+        ["validate", en_bio_path],
+        ["parse", "--bundle", en_bio_path, "--tags", "DET N V DET N"],
+    ):
+        with open("/dev/full", "wb") as full:
+            done = _run_module(argv, env=env, stdout=full)
+        assert done.returncode == 2, argv
+        assert done.stderr.decode("utf-8").startswith("input error: cannot write stdout: ")
 
 
 def test_stdout_without_a_byte_buffer_takes_the_text(en_bio_path, tmp_path):
@@ -521,3 +561,12 @@ def test_stdout_is_utf8_whatever_the_locale(de_core_path, tmp_path, locale_env):
     assert to_stdout.stdout == out.read_bytes()
     assert tag.stdout.decode("utf-8").startswith("Das\t")
     assert "Müller\t" in tag.stdout.decode("utf-8")
+    # Under the C locale a non-ASCII path reaches xdoc with its bytes as
+    # surrogate escapes; validate must print them as the same bytes.
+    bundle = tmp_path / "bündel.xml"
+    bundle.write_bytes(Path(de_core_path).read_bytes())
+    validate = _run_module(["validate", str(bundle)], env)
+    parse = _run_module(["parse", "--bundle", str(bundle), "--tags", "DETN N V DETA N"], env)
+    assert (validate.returncode, parse.returncode) == (0, 0), validate.stderr + parse.stderr
+    assert validate.stdout.endswith(f"{bundle}: ok (de)\n".encode("utf-8"))
+    assert parse.stdout.startswith(b"(S ")

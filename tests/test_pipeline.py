@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xdoc import pipeline
-from xdoc.errors import MalformedResource, ResourceError, UnmappedTag
+from xdoc.errors import InputError, MalformedResource, ResourceError, UnmappedTag
 from xdoc.parsing import ParseTree
 from xdoc.pipeline import (
     STAGES,
@@ -407,6 +407,39 @@ def test_xml_and_tsv_list_the_same_relations(en_bio, de_core, case):
         for row in (line.split("\t") for line in export_relations(doc).splitlines()[1:])
     ]
     assert _xml_relation_rows(emit_xml(doc), bundle) == tsv_rows
+
+
+# Words glued to whitespace and control characters: the form feed, \v and
+# \x1c-\x1f that XML cannot carry but that separate words, C0 controls,
+# U+FFFE/U+FFFF and lone surrogates that it cannot carry either, and DEL
+# and NEL, which it can.
+_CONTROL_PIECES = ["Aspirin", "inhibits", "cyclooxygenase", "COX-2", ".", " ", "\n\n",
+                   "\x0c", "\x0b", "\x1c", "\x1f", "\x00", "\x01", "\x08", "\x0e", "\x1b",
+                   "\x7f", "\x85", "\ufffe", "\uffff", "\ud800", "\udfff"]
+
+
+def _xml_char(ch):
+    """The Char production of XML 1.0."""
+    code = ord(ch)
+    return ch in "\t\n\r" or 0x20 <= code <= 0xD7FF or 0xE000 <= code <= 0xFFFD or code >= 0x10000
+
+
+@given(st.lists(st.sampled_from(_CONTROL_PIECES), max_size=12).map("".join))
+@settings(max_examples=200, deadline=None)
+def test_text_gives_well_formed_xml_or_an_input_error(en_bio, text):
+    refused = any(not _xml_char(ch) and not ch.isspace() for ch in text)
+    try:
+        doc = analyze_text(en_bio, text, lenient=True)
+    except InputError:
+        assert refused
+        return
+    assert not refused
+    ET.fromstring(emit_xml(doc))
+
+
+def test_lone_surrogate_is_an_input_error_naming_its_byte_offset(en_bio):
+    with pytest.raises(InputError, match="U\\+D800 at byte offset 4 "):
+        analyze_text(en_bio, "Ab\u00e9\ud800 inhibits")
 
 
 def test_two_predicate_run_on_yields_one_relation_per_predicate(en_bio):

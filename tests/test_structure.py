@@ -10,7 +10,6 @@ from xdoc.structure import (
     Sentence,
     Token,
     is_punctuation,
-    paragraph_breaks,
     segment,
     split_sentences,
     tokenize,
@@ -89,11 +88,6 @@ def test_split_sentences_partition():
     flat = [t for s in sentences for t in s.tokens]
     assert flat == tokens
     assert [s.id for s in sentences] == list(range(len(sentences)))
-
-
-def test_paragraph_breaks_are_byte_offsets():
-    text = "Aaa bbb\n\nccc"
-    assert paragraph_breaks(text) == [7]
 
 
 def test_segment_resets_at_blank_line():
@@ -216,14 +210,17 @@ def _reference_segment(text, abbrevs):
             current.append(token)
         if current:
             resplit.append(Sentence(len(resplit), tuple(current)))
-    return tokens, resplit, breaks
+    return tokens, resplit
 
 
 # Words with one- to four-byte UTF-8 characters, joined by gaps that are
 # often blank lines, so break offsets and token offsets diverge from
-# character offsets.
+# character offsets.  Some gaps hold whitespace that ``\S+`` skips but a
+# blank line does not (form feed, ``\v``, ``\x1c``), around or between
+# line ends, where a test per gap and a scan of the whole text could differ.
 multibyte_words = st.text(alphabet=st.sampled_from(list("aZ.3-äß€𝔸")), min_size=1, max_size=6)
-gaps = st.sampled_from([" ", "\n", "\n\n", "\n \t\n", "\n\r\n\n", " \n\n\n ", "\t"])
+gaps = st.sampled_from([" ", "\n", "\n\n", "\n \t\n", "\n\r\n\n", " \n\n\n ", "\t",
+                        "\x0c", "\n\x0b\n", "\n\x1c\n", "\n \n", "\n\n\x0c"])
 paragraph_texts = st.lists(st.tuples(multibyte_words, gaps), max_size=25).map(
     lambda pairs: "".join(word + gap for word, gap in pairs)
 )
@@ -232,9 +229,7 @@ paragraph_texts = st.lists(st.tuples(multibyte_words, gaps), max_size=25).map(
 @given(paragraph_texts, abbrev_sets)
 @settings(max_examples=300)
 def test_segment_matches_naive_reference(text, abbrevs):
-    tokens, sentences, breaks = _reference_segment(text, abbrevs)
-    assert paragraph_breaks(text) == breaks
-    assert segment(text, abbrevs) == (tokens, sentences)
+    assert segment(text, abbrevs) == _reference_segment(text, abbrevs)
 
 
 @given(st.text(alphabet=st.sampled_from(sorted(PUNCTUATION) + list("aZ1ä .-"))))
