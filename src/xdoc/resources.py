@@ -7,17 +7,22 @@ ontology and noun-phrase structure patterns.  The code in the rest of
 the package is language independent; swapping the bundle swaps the
 language.
 
-Loading enforces per-section invariants only.  Cross-section consistency
-(for example that every grammar terminal can actually be produced by the
-tagset map) is a separate pass, :func:`validate_bundle`, so that
-authoring tools may load partial bundles.  :func:`serialize_bundle`
-writes a canonical form: fixed attribute order, sorted map keys, fixed
-indentation, so output bytes are stable across runs.
+Loading enforces per-section invariants only, and the constructors
+refuse what the loader refuses in a record or a section.  Cross-section
+consistency (for example that every grammar terminal can actually be
+produced by the tagset map) is a separate pass, :func:`validate_bundle`,
+so that authoring tools may load partial bundles.
+:func:`serialize_bundle` writes a canonical form: fixed attribute order,
+sorted map keys, fixed indentation, so output bytes are stable across
+runs.
 
 The XML form is written down once, under "The XML form" below: a record
 table gives each record element's attributes, and a section table gives
 every section's reader and writer in canonical order.  The loader and
-the writer both work from these two tables.
+the writer both work from these two tables.  A reader names no location
+while it reads: a location such as ``semlex/entry[3]`` is formed only
+when a record is refused, by the loops that hold the element indexes,
+one step each on the way out.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Container, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import CyclicOntology, MalformedResource
 
@@ -251,6 +256,17 @@ class FrameSlot:
             raise ValueError(f"unknown grammatical function {self.gf!r}")
 
 
+def _slot_clash(slots: Sequence[FrameSlot]) -> tuple[int, str] | None:
+    """The index of the first slot that repeats an earlier slot's role or
+    gf, with the reason; None when every role and gf is distinct."""
+    for i, slot in enumerate(slots):
+        if any(other.role == slot.role for other in slots[:i]):
+            return i, f"duplicate role {slot.role!r}"
+        if any(other.gf == slot.gf for other in slots[:i]):
+            return i, f"more than one slot with gf {slot.gf!r}"
+    return None
+
+
 @dataclass(frozen=True)
 class CaseFrame:
     id: str
@@ -258,12 +274,58 @@ class CaseFrame:
     relation: str
     slots: tuple[FrameSlot, ...]
 
+    def __post_init__(self) -> None:
+        clash = _slot_clash(self.slots)
+        if clash is not None:
+            raise ValueError(clash[1])
+
+
+def _check_acyclic(isa: Mapping[str, frozenset[str]], concepts: frozenset[str]) -> None:
+    WHITE, GREY, BLACK = 0, 1, 2
+    color = dict.fromkeys(concepts, WHITE)
+    for root in sorted(concepts):
+        if color[root] != WHITE:
+            continue
+        stack: list[tuple[str, Iterable[str]]] = [(root, iter(sorted(isa.get(root, ()))))]
+        color[root] = GREY
+        while stack:
+            node, parents = stack[-1]
+            advanced = False
+            for parent in parents:
+                if color[parent] == GREY:
+                    raise CyclicOntology(parent)
+                if color[parent] == WHITE:
+                    color[parent] = GREY
+                    stack.append((parent, iter(sorted(isa.get(parent, ())))))
+                    advanced = True
+                    break
+            if not advanced:
+                color[node] = BLACK
+                stack.pop()
+
 
 @dataclass(frozen=True)
 class Ontology:
+    """Concepts, their isa parents and the concept of each semantic class.
+
+    Every isa source and target and every lexmap target is a concept,
+    and the isa graph is acyclic (:class:`CyclicOntology` otherwise).
+    """
+
     concepts: frozenset[str] = frozenset()
     isa: dict[str, frozenset[str]] = field(default_factory=dict)
     lexmap: dict[str, str] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        for cid, parents in self.isa.items():
+            if cid not in self.concepts:
+                raise ValueError(f"isa source {cid!r} is not a concept")
+            if not parents <= self.concepts:
+                raise ValueError(f"isa target {min(parents - self.concepts)!r} is not a concept")
+        if not self.concepts.issuperset(self.lexmap.values()):
+            target = min(set(self.lexmap.values()) - self.concepts)
+            raise ValueError(f"lexmap target {target!r} is not a concept")
+        _check_acyclic(self.isa, self.concepts)
 
     def parents(self, concept: str) -> frozenset[str]:
         return self.isa.get(concept, frozenset())
@@ -290,6 +352,23 @@ class StructPattern:
             raise ValueError("argument indices outside pattern bounds")
         if self.arg1 == self.arg2:
             raise ValueError("argument indices must be distinct")
+
+
+def _semlex_clash(entries: Sequence[SemLexEntry]) -> tuple[int, str] | None:
+    """The index of the first entry whose (lemma, pos) an earlier entry
+    has, with the reason; None when every pair is distinct."""
+    # Two entries share a (lemma, pos) only if they share a lemma, and a set
+    # of lemmas is cheaper than a set of pairs, so a lexicon of distinct
+    # lemmas costs one set of strings.  The walk runs only on refusal.
+    if (len({entry.lemma for entry in entries}) < len(entries)
+            and len({(entry.lemma, entry.pos) for entry in entries}) < len(entries)):
+        seen: set[tuple[str, str]] = set()
+        for i, entry in enumerate(entries):
+            key = (entry.lemma, entry.pos)
+            if key in seen:
+                return i, f"duplicate entry for {key!r}"
+            seen.add(key)
+    return None
 
 
 @dataclass(frozen=True)
@@ -323,6 +402,12 @@ class ResourceBundle:
             for cat in (rule.lhs, *rule.rhs)
         ):
             raise ValueError("case-marked mode requires at least one category with a case feature")
+        if not all(self.tag_lexicon.values()):
+            form = next(form for form, tags in self.tag_lexicon.items() if not tags)
+            raise ValueError(f"empty tag list for form {form!r}")
+        clash = _semlex_clash(self.sem_lexicon)
+        if clash is not None:
+            raise ValueError(clash[1])
 
     # Lookup indexes, built on first use and shared by every later
     # sentence; loading and validation never build them.
@@ -352,42 +437,48 @@ class ResourceBundle:
 # The other sections have hand-written readers and writers, side by side.
 
 
-def _require(elem: ET.Element, attr: str, location: str) -> str:
+def _require(elem: ET.Element, attr: str) -> str:
     value = elem.get(attr)
     if value is None:
-        raise MalformedResource(location, f"missing required attribute {attr!r}")
+        raise ValueError(f"missing required attribute {attr!r}")
     return value
 
 
-def _children(elem: ET.Element, allowed: Iterable[str], location: str) -> list[ET.Element]:
-    allowed = set(allowed)
+def _children(elem: ET.Element, allowed: Container[str]) -> list[ET.Element]:
     children = list(elem)
     for child in children:
         if child.tag not in allowed:
-            raise MalformedResource(location, f"unexpected element <{child.tag}>")
+            raise ValueError(f"unexpected element <{child.tag}>")
     return children
 
 
-def _int_attr(elem: ET.Element, attr: str, location: str) -> int:
-    raw = _require(elem, attr, location)
+def _int_attr(elem: ET.Element, attr: str) -> int:
+    raw = _require(elem, attr)
     try:
         return int(raw)
     except ValueError:
-        raise MalformedResource(location, f"attribute {attr!r} is not an integer: {raw!r}") from None
+        raise ValueError(f"attribute {attr!r} is not an integer: {raw!r}") from None
 
 
-def _bool_attr(elem: ET.Element, attr: str, location: str) -> bool:
-    raw = _require(elem, attr, location)
+def _bool_attr(elem: ET.Element, attr: str) -> bool:
+    raw = _require(elem, attr)
     if raw == "true":
         return True
     if raw == "false":
         return False
-    raise MalformedResource(location, f"attribute {attr!r} must be 'true' or 'false', got {raw!r}")
+    raise ValueError(f"attribute {attr!r} must be 'true' or 'false', got {raw!r}")
+
+
+def _at(step: str, exc: ValueError | MalformedResource) -> MalformedResource:
+    """``exc`` located at ``step``: its reason there, or its location below it."""
+    if isinstance(exc, MalformedResource):
+        return MalformedResource(f"{step}/{exc.location}", exc.reason)
+    return MalformedResource(step, str(exc))
 
 
 # Attribute readers by the annotation text of the field they fill.
 _READERS = {"str": _require, "int": _int_attr, "bool": _bool_attr,
-            "str | None": lambda elem, attr, location: elem.get(attr)}
+            "str | None": lambda elem, attr: elem.get(attr)}
 
 
 def _esc(value: str) -> str:
@@ -420,19 +511,28 @@ def _attr_text(value: object) -> str:
 
 
 class _Record(NamedTuple):
-    """A record element: its tag, the class it builds, and its
-    (attribute, field, reader) triples in canonical attribute order."""
+    """A record element: its tag, the class it builds, its (attribute,
+    field, reader) triples in canonical attribute order, and the position
+    among the class's fields of the one read from child elements."""
 
     tag: str
     cls: type
-    attrs: tuple[tuple[str, str, Callable[[ET.Element, str, str], object]], ...]
+    attrs: tuple[tuple[str, str, Callable[[ET.Element, str], object]], ...]
+    children_at: int
 
 
 def _record(tag: str, cls: type, **attrs: str) -> _Record:
-    """Declare ``tag`` from field=attribute pairs, binding each reader once."""
+    """Declare ``tag`` from field=attribute pairs, binding each reader once.
+
+    Records are built positionally, so the pairs follow the class's field
+    order; a field left out is the one read from child elements.
+    """
     types = {f.name: f.type for f in fields(cls)}
-    triples = ((attr, name, _READERS[types[name]]) for name, attr in attrs.items())
-    return _Record(tag, cls, tuple(triples))
+    if list(attrs) != [name for name in types if name in attrs]:
+        raise TypeError(f"<{tag}> attributes must follow the fields of {cls.__name__}")
+    triples = tuple((attr, name, _READERS[types[name]]) for name, attr in attrs.items())
+    children_at = next((i for i, name in enumerate(types) if name not in attrs), len(types))
+    return _Record(tag, cls, triples, children_at)
 
 
 # The record table.  Frames and patterns declare their header attributes
@@ -453,24 +553,24 @@ _STRUCT_PATTERN = _record(
 )
 
 
-def _read_records(elem: ET.Element, location: str, record: _Record, read_children=None) -> Iterator:
-    """Each child of ``elem`` built as a ``record``, with its location.
+def _read_records(elem: ET.Element, record: _Record, read_children=None) -> list:
+    """The children of ``elem`` built as ``record`` instances, in order.
 
-    ``read_children(child, location)`` gives the fields that a record
-    reads from its own child elements.
+    ``read_children(child)`` gives the field that a record reads from its
+    own child elements.  A child that cannot be built is refused at
+    ``{tag}[i]``, or below it for a fault in its own children.
     """
-    for i, child in enumerate(_children(elem, (record.tag,), location), 1):
-        loc = f"{location}/{record.tag}[{i}]"
-        values = {}
-        for attr, name, read in record.attrs:
-            values[name] = read(child, attr, loc)
-        if read_children is not None:
-            values.update(read_children(child, loc))
+    cls, attrs, children_at = record.cls, record.attrs, record.children_at
+    items = []
+    for i, child in enumerate(_children(elem, (record.tag,)), 1):
         try:
-            item = record.cls(**values)
-        except ValueError as exc:
-            raise MalformedResource(loc, str(exc)) from None
-        yield item, loc
+            values = [read(child, attr) for attr, _, read in attrs]
+            if read_children is not None:
+                values.insert(children_at, read_children(child))
+            items.append(cls(*values))
+        except (ValueError, MalformedResource) as exc:
+            raise _at(f"{record.tag}[{i}]", exc) from None
+    return items
 
 
 def _write_record(record: _Record, item: object, body: str | None = None) -> str:
@@ -491,8 +591,8 @@ def _section(tag: str, items: list[str], attrs: Sequence[tuple[str, str]] = ()) 
 def _record_section(tag: str, field_name: str, record: _Record) -> tuple:
     """The section table entry of a section that holds only ``record`` elements."""
 
-    def read(elem: ET.Element, location: str) -> dict:
-        return {field_name: tuple(item for item, _ in _read_records(elem, location, record))}
+    def read(elem: ET.Element) -> dict:
+        return {field_name: tuple(_read_records(elem, record))}
 
     def write(bundle: ResourceBundle) -> list[str]:
         return _section(tag, [_write_record(record, item) for item in getattr(bundle, field_name)])
@@ -500,10 +600,13 @@ def _record_section(tag: str, field_name: str, record: _Record) -> tuple:
     return tag, read, write
 
 
-def _read_abbreviations(elem: ET.Element, location: str) -> dict:
+def _read_abbreviations(elem: ET.Element) -> dict:
     forms = set()
-    for i, child in enumerate(_children(elem, {"abbr"}, location), 1):
-        forms.add(_require(child, "form", f"{location}/abbr[{i}]"))
+    for i, child in enumerate(_children(elem, {"abbr"}), 1):
+        try:
+            forms.add(_require(child, "form"))
+        except ValueError as exc:
+            raise _at(f"abbr[{i}]", exc) from None
     return {"abbreviations": frozenset(forms)}
 
 
@@ -512,16 +615,18 @@ def _write_abbreviations(bundle: ResourceBundle) -> list[str]:
     return _section("abbreviations", [f"<abbr{_attrs([('form', form)])}/>" for form in forms])
 
 
-def _read_taglexicon(elem: ET.Element, location: str) -> dict:
+def _read_taglexicon(elem: ET.Element) -> dict:
     entries: dict[str, tuple[str, ...]] = {}
-    for i, child in enumerate(_children(elem, {"w"}, location), 1):
-        loc = f"{location}/w[{i}]"
-        form = _require(child, "form", loc)
-        tags = tuple(_require(child, "tags", loc).split())
-        if not tags:
-            raise MalformedResource(loc, "empty tag list")
-        if form in entries:
-            raise MalformedResource(loc, f"duplicate form {form!r}")
+    for i, child in enumerate(_children(elem, {"w"}), 1):
+        try:
+            form = _require(child, "form")
+            tags = tuple(_require(child, "tags").split())
+            if not tags:
+                raise ValueError("empty tag list")
+            if form in entries:
+                raise ValueError(f"duplicate form {form!r}")
+        except ValueError as exc:
+            raise _at(f"w[{i}]", exc) from None
         entries[form] = tags
     default, capitalized = elem.get("default"), elem.get("capitalized")
     return {"tag_lexicon": entries, "default_tag": default, "capitalized_tag": capitalized}
@@ -539,14 +644,16 @@ def _write_taglexicon(bundle: ResourceBundle) -> list[str]:
     return _section("taglexicon", words, attrs)
 
 
-def _read_tagmap(elem: ET.Element, location: str) -> dict:
+def _read_tagmap(elem: ET.Element) -> dict:
     mapping: dict[str, str] = {}
-    for i, child in enumerate(_children(elem, {"map"}, location), 1):
-        loc = f"{location}/map[{i}]"
-        src = _require(child, "from", loc)
-        dst = _require(child, "to", loc)
-        if src in mapping:
-            raise MalformedResource(loc, f"duplicate mapping for source tag {src!r}")
+    for i, child in enumerate(_children(elem, {"map"}), 1):
+        try:
+            src = _require(child, "from")
+            dst = _require(child, "to")
+            if src in mapping:
+                raise ValueError(f"duplicate mapping for source tag {src!r}")
+        except ValueError as exc:
+            raise _at(f"map[{i}]", exc) from None
         mapping[src] = dst
     return {"tagset_map": mapping, "tagset_source": elem.get("source", "")}
 
@@ -560,43 +667,40 @@ def _write_tagmap(bundle: ResourceBundle) -> list[str]:
     return _section("tagmap", maps, attrs)
 
 
-def _read_category(elem: ET.Element, location: str) -> Category:
-    name = _require(elem, "name", location)
-    features = {k: v for k, v in elem.attrib.items() if k != "name"}
-    try:
-        cat = Category(name, features)
-        _check_unreserved(cat)
-    except ValueError as exc:
-        raise MalformedResource(location, str(exc)) from None
+def _read_category(elem: ET.Element) -> Category:
+    name = _require(elem, "name")
+    cat = Category(name, {k: v for k, v in elem.attrib.items() if k != "name"})
+    _check_unreserved(cat)
     return cat
 
 
-def _read_grammar(elem: ET.Element, location: str) -> dict:
+def _read_rule(elem: ET.Element) -> GrammarRule:
+    lhs_name = _require(elem, "lhs")
+    head = _int_attr(elem, "head")
+    if "name" in elem.attrib:
+        raise ValueError("feature key 'name' is reserved")
+    lhs_features = {k: v for k, v in elem.attrib.items() if k not in ("lhs", "head")}
+    rhs = []
+    for j, cat in enumerate(_children(elem, {"cat"}), 1):
+        try:
+            rhs.append(_read_category(cat))
+        except ValueError as exc:
+            raise _at(f"cat[{j}]", exc) from None
+    return GrammarRule(Category(lhs_name, lhs_features), tuple(rhs), head)
+
+
+def _read_grammar(elem: ET.Element) -> dict:
     gf_mode = elem.get("gf", "positional")
     if gf_mode not in GF_MODES:
-        raise MalformedResource(location, f"unknown gf mode {gf_mode!r}")
-    start = _require(elem, "start", location)
+        raise ValueError(f"unknown gf mode {gf_mode!r}")
+    start = _require(elem, "start")
     rules = []
-    for i, child in enumerate(_children(elem, {"rule"}, location), 1):
-        loc = f"{location}/rule[{i}]"
-        lhs_name = _require(child, "lhs", loc)
-        head = _int_attr(child, "head", loc)
-        if "name" in child.attrib:
-            raise MalformedResource(loc, "feature key 'name' is reserved")
-        lhs_features = {k: v for k, v in child.attrib.items() if k not in ("lhs", "head")}
-        rhs = tuple(
-            _read_category(cat, f"{loc}/cat[{j}]")
-            for j, cat in enumerate(_children(child, {"cat"}, loc), 1)
-        )
+    for i, child in enumerate(_children(elem, {"rule"}), 1):
         try:
-            rules.append(GrammarRule(Category(lhs_name, lhs_features), rhs, head))
-        except ValueError as exc:
-            raise MalformedResource(loc, str(exc)) from None
-    try:
-        grammar = Grammar(start, tuple(rules))
-    except ValueError as exc:
-        raise MalformedResource(location, str(exc)) from None
-    return {"grammar": grammar, "gf_mode": gf_mode}
+            rules.append(_read_rule(child))
+        except (ValueError, MalformedResource) as exc:
+            raise _at(f"rule[{i}]", exc) from None
+    return {"grammar": Grammar(start, tuple(rules)), "gf_mode": gf_mode}
 
 
 def _write_grammar(bundle: ResourceBundle) -> list[str]:
@@ -612,33 +716,16 @@ def _write_grammar(bundle: ResourceBundle) -> list[str]:
     return _section("grammar", rules, attrs)
 
 
-def _read_semlex(elem: ET.Element, location: str) -> dict:
-    entries: dict[tuple[str, str], SemLexEntry] = {}
-    for entry, loc in _read_records(elem, location, _SEMLEX_ENTRY):
-        key = (entry.lemma, entry.pos)
-        if key in entries:
-            raise MalformedResource(loc, f"duplicate entry for {key!r}")
-        entries[key] = entry
-    return {"sem_lexicon": tuple(entries.values())}
+def _read_slots(elem: ET.Element) -> tuple[FrameSlot, ...]:
+    slots = _read_records(elem, _FRAME_SLOT)
+    clash = _slot_clash(slots)
+    if clash is not None:
+        raise MalformedResource(f"{_FRAME_SLOT.tag}[{clash[0] + 1}]", clash[1])
+    return tuple(slots)
 
 
-def _write_semlex(bundle: ResourceBundle) -> list[str]:
-    return _section("semlex", [_write_record(_SEMLEX_ENTRY, entry) for entry in bundle.sem_lexicon])
-
-
-def _read_slots(elem: ET.Element, location: str) -> dict:
-    slots: dict[str, FrameSlot] = {}
-    for slot, loc in _read_records(elem, location, _FRAME_SLOT):
-        if slot.role in slots:
-            raise MalformedResource(loc, f"duplicate role {slot.role!r}")
-        if any(other.gf == slot.gf for other in slots.values()):
-            raise MalformedResource(loc, f"more than one slot with gf {slot.gf!r}")
-        slots[slot.role] = slot
-    return {"slots": tuple(slots.values())}
-
-
-def _read_frames(elem: ET.Element, location: str) -> dict:
-    return {"frames": tuple(f for f, _ in _read_records(elem, location, _CASE_FRAME, _read_slots))}
+def _read_frames(elem: ET.Element) -> dict:
+    return {"frames": tuple(_read_records(elem, _CASE_FRAME, _read_slots))}
 
 
 def _write_frames(bundle: ResourceBundle) -> list[str]:
@@ -649,67 +736,59 @@ def _write_frames(bundle: ResourceBundle) -> list[str]:
     return _section("frames", frames)
 
 
-def _check_acyclic(isa: dict[str, frozenset[str]], concepts: frozenset[str]) -> None:
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = dict.fromkeys(concepts, WHITE)
-    for root in sorted(concepts):
-        if color[root] != WHITE:
-            continue
-        stack: list[tuple[str, Iterable[str]]] = [(root, iter(sorted(isa.get(root, ()))))]
-        color[root] = GREY
-        while stack:
-            node, parents = stack[-1]
-            advanced = False
-            for parent in parents:
-                if color[parent] == GREY:
-                    raise CyclicOntology(parent)
-                if color[parent] == WHITE:
-                    color[parent] = GREY
-                    stack.append((parent, iter(sorted(isa.get(parent, ())))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                stack.pop()
+def _read_parents(elem: ET.Element, concepts: Container[str]) -> set[str]:
+    parents = set()
+    for j, isa_elem in enumerate(_children(elem, {"isa"}), 1):
+        try:
+            ref = _require(isa_elem, "ref")
+            if ref not in concepts:
+                raise ValueError(f"isa target {ref!r} is not a concept")
+        except ValueError as exc:
+            raise _at(f"isa[{j}]", exc) from None
+        parents.add(ref)
+    return parents
 
 
-def _read_ontology(elem: ET.Element, location: str) -> dict:
-    groups: dict[str, list[tuple[ET.Element, str]]] = {"concept": [], "lexmap": []}
-    for child in _children(elem, groups, location):
-        group = groups[child.tag]
-        group.append((child, f"{location}/{child.tag}[{len(group) + 1}]"))
+def _read_ontology(elem: ET.Element) -> dict:
+    groups: dict[str, list[ET.Element]] = {"concept": [], "lexmap": []}
+    for child in _children(elem, groups):
+        groups[child.tag].append(child)
 
-    concepts: dict[str, tuple[ET.Element, str]] = {}
-    for child, loc in groups["concept"]:
-        cid = _require(child, "id", loc)
-        if cid in concepts:
-            raise MalformedResource(loc, f"duplicate concept {cid!r}")
-        concepts[cid] = (child, loc)
+    concepts: dict[str, ET.Element] = {}
+    for i, child in enumerate(groups["concept"], 1):
+        try:
+            cid = _require(child, "id")
+            if cid in concepts:
+                raise ValueError(f"duplicate concept {cid!r}")
+        except ValueError as exc:
+            raise _at(f"concept[{i}]", exc) from None
+        concepts[cid] = child
 
     isa: dict[str, frozenset[str]] = {}
-    for cid, (child, loc) in concepts.items():
-        parents = set()
-        for j, isa_elem in enumerate(_children(child, {"isa"}, loc), 1):
-            ref = _require(isa_elem, "ref", f"{loc}/isa[{j}]")
-            if ref not in concepts:
-                raise MalformedResource(f"{loc}/isa[{j}]", f"isa target {ref!r} is not a concept")
-            parents.add(ref)
+    for i, (cid, child) in enumerate(concepts.items(), 1):
+        try:
+            parents = _read_parents(child, concepts)
+        except (ValueError, MalformedResource) as exc:
+            raise _at(f"concept[{i}]", exc) from None
         if parents:
             isa[cid] = frozenset(parents)
 
     lexmap: dict[str, str] = {}
-    for child, loc in groups["lexmap"]:
-        semclass = _require(child, "semclass", loc)
-        concept = _require(child, "concept", loc)
-        if concept not in concepts:
-            raise MalformedResource(loc, f"lexmap target {concept!r} is not a concept")
-        if semclass in lexmap:
-            raise MalformedResource(loc, f"duplicate lexmap for semclass {semclass!r}")
+    for i, child in enumerate(groups["lexmap"], 1):
+        try:
+            semclass = _require(child, "semclass")
+            concept = _require(child, "concept")
+            if concept not in concepts:
+                raise ValueError(f"lexmap target {concept!r} is not a concept")
+            if semclass in lexmap:
+                raise ValueError(f"duplicate lexmap for semclass {semclass!r}")
+        except ValueError as exc:
+            raise _at(f"lexmap[{i}]", exc) from None
         lexmap[semclass] = concept
 
-    frozen = frozenset(concepts)
-    _check_acyclic(isa, frozen)
-    return {"ontology": Ontology(frozen, isa, lexmap)}
+    # Every reference was checked above, with its location; the
+    # constructor raises CyclicOntology for an isa cycle.
+    return {"ontology": Ontology(frozenset(concepts), isa, lexmap)}
 
 
 def _write_ontology(bundle: ResourceBundle) -> list[str]:
@@ -725,13 +804,12 @@ def _write_ontology(bundle: ResourceBundle) -> list[str]:
     return _section("ontology", items)
 
 
-def _read_pattern_items(elem: ET.Element, location: str) -> dict:
-    return {"rhs_match": tuple(item for item, _ in _read_records(elem, location, _PATTERN_ITEM))}
+def _read_pattern_items(elem: ET.Element) -> tuple[PatternItem, ...]:
+    return tuple(_read_records(elem, _PATTERN_ITEM))
 
 
-def _read_structmap(elem: ET.Element, location: str) -> dict:
-    patterns = _read_records(elem, location, _STRUCT_PATTERN, _read_pattern_items)
-    return {"struct_patterns": tuple(p for p, _ in patterns)}
+def _read_structmap(elem: ET.Element) -> dict:
+    return {"struct_patterns": tuple(_read_records(elem, _STRUCT_PATTERN, _read_pattern_items))}
 
 
 def _write_structmap(bundle: ResourceBundle) -> list[str]:
@@ -751,7 +829,7 @@ _SECTIONS = (
     ("tagmap", _read_tagmap, _write_tagmap),
     ("grammar", _read_grammar, _write_grammar),
     _record_section("lemmarules", "lemma_rules", _LEMMA_RULE),
-    ("semlex", _read_semlex, _write_semlex),
+    _record_section("semlex", "sem_lexicon", _SEMLEX_ENTRY),
     ("frames", _read_frames, _write_frames),
     ("ontology", _read_ontology, _write_ontology),
     ("structmap", _read_structmap, _write_structmap),
@@ -771,23 +849,36 @@ def loads_bundle(data: str | bytes) -> ResourceBundle:
         raise MalformedResource("document", f"not well-formed XML: {exc}") from None
     if root.tag != "resources":
         raise MalformedResource("document", f"root element must be <resources>, got <{root.tag}>")
-    lang = _require(root, "lang", "resources")
-    if not lang:
-        raise MalformedResource("resources", "lang must be non-empty")
+
+    try:
+        lang = _require(root, "lang")
+        if not lang:
+            raise ValueError("lang must be non-empty")
+        sections = _children(root, _SECTION_READERS)
+    except ValueError as exc:
+        raise MalformedResource("resources", str(exc)) from None
 
     values: dict[str, object] = {"lang": lang}
     seen = set()
-    for child in _children(root, _SECTION_READERS, "resources"):
+    for child in sections:
         if child.tag in seen:
             raise MalformedResource("resources", f"duplicate section <{child.tag}>")
         seen.add(child.tag)
-        values.update(_SECTION_READERS[child.tag](child, child.tag))
+        try:
+            values.update(_SECTION_READERS[child.tag](child))
+        except (ValueError, MalformedResource) as exc:
+            raise _at(child.tag, exc) from None
 
     try:
         return ResourceBundle(**values)  # type: ignore[arg-type]
     except ValueError as exc:
-        # lang and the gf mode were checked above; what is left is whether
-        # the grammar suits its gf mode.
+        # Each section's own checks were made above, with their locations.
+        # What is left is a semantic lexicon entry that repeats an earlier
+        # (lemma, pos), located here only when refused, or a grammar that
+        # does not suit its gf mode.
+        clash = _semlex_clash(values.get("sem_lexicon", ()))
+        if clash is not None:
+            raise MalformedResource(f"semlex/{_SEMLEX_ENTRY.tag}[{clash[0] + 1}]", clash[1]) from None
         raise MalformedResource("grammar", str(exc)) from None
 
 
@@ -893,8 +984,8 @@ def validate_bundle(bundle: ResourceBundle) -> list[Finding]:
             seen.add(node)
             frontier |= unary.get(node, set())
 
-    for form in sorted(bundle.tag_lexicon):
-        for tag in bundle.tag_lexicon[form]:
+    for form, tags in bundle.tag_lexicon.items():  # the closing sort orders the report
+        for tag in tags:
             if tag not in domain:
                 findings.append(
                     _finding(

@@ -15,6 +15,7 @@ plain tuple of the same values.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import Container, Iterable, Iterator, Mapping, NamedTuple
 
 __all__ = [
@@ -56,7 +57,7 @@ def _blen(s: str) -> int:
     return len(s.encode("utf-8"))
 
 
-def _split_run(run: str, abbrevs: Mapping[str, list[str]]) -> Iterator[str]:
+def _split_run(run: str, abbrevs: Mapping[str, tuple[str, ...]]) -> Iterator[str]:
     """Split one whitespace-free run into token forms, in order.
 
     Punctuation characters become their own tokens except when they sit
@@ -96,12 +97,20 @@ def _split_run(run: str, abbrevs: Mapping[str, list[str]]) -> Iterator[str]:
         pos = j
 
 
-def _scan(text: str, abbreviations: Iterable[str]) -> tuple[list[Token], set[int]]:
+@lru_cache(maxsize=32)
+def _abbreviation_table(abbreviations: frozenset[str]) -> Mapping[str, tuple[str, ...]]:
+    """The abbreviations by first character, longest first, built once
+    per abbreviation set (a bundle's set keeps its hash once computed)."""
+    table: dict[str, list[str]] = {}
+    for a in sorted((a for a in abbreviations if a), key=len, reverse=True):
+        table.setdefault(a[0], []).append(a)
+    return {first: tuple(forms) for first, forms in table.items()}
+
+
+def _scan(text: str, abbreviations: frozenset[str]) -> tuple[list[Token], set[int]]:
     """The tokenizer's one walk over ``text``: its tokens, and the ids of
     the tokens whose preceding whitespace gap holds a blank line."""
-    abbrevs: dict[str, list[str]] = {}
-    for a in sorted((a for a in abbreviations if a), key=len, reverse=True):
-        abbrevs.setdefault(a[0], []).append(a)
+    abbrevs = _abbreviation_table(abbreviations)
     tokens: list[Token] = []
     after_blank_line: set[int] = set()
     char_pos = 0
@@ -119,7 +128,7 @@ def _scan(text: str, abbreviations: Iterable[str]) -> tuple[list[Token], set[int
     return tokens, after_blank_line
 
 
-def _group(tokens: Iterable[Token], abbrevs: set[str], breaks: Container[int] = ()) -> list[Sentence]:
+def _group(tokens: Iterable[Token], abbrevs: Container[str], breaks: Container[int] = ()) -> list[Sentence]:
     """End a sentence before each token whose id is in ``breaks`` and after
     each standalone terminator that is not an abbreviation."""
     sentences: list[Sentence] = []
@@ -144,7 +153,7 @@ def tokenize(text: str, abbreviations: Iterable[str] = ()) -> list[Token]:
     punctuation stay inside tokens (``COX-2`` and ``3.5`` are single
     tokens); an abbreviation such as ``Dr.`` keeps its period.
     """
-    return _scan(text, abbreviations)[0]
+    return _scan(text, frozenset(abbreviations))[0]
 
 
 def split_sentences(
@@ -167,6 +176,6 @@ def segment(text: str, abbreviations: Iterable[str] = ()) -> tuple[list[Token], 
     Paragraph gaps force a sentence boundary even without a terminator;
     they produce no structure element of their own.
     """
-    abbrevs = set(abbreviations)
+    abbrevs = frozenset(abbreviations)  # the same object when given a frozenset
     tokens, after_blank_line = _scan(text, abbrevs)
     return tokens, _group(tokens, abbrevs, after_blank_line)

@@ -113,14 +113,17 @@ def apply_rules(
 def import_external_tags(path: str | Path) -> list[list[TaggedToken]]:
     """Read tagged sentences from a ``form<TAB>tag`` file.
 
-    A blank line ends a sentence.  Token offsets are synthesized as if
+    A blank line ends a sentence.  A line ends at ``\n`` only, with the
+    ``\r`` of a CRLF dropped, so a lone ``\r`` stays inside its line and
+    line numbers count ``\n``.  Token offsets are synthesized as if
     the forms were joined by single spaces.  Raises
     :class:`MalformedLine` when a non-blank line does not contain
     exactly one tab, and :class:`InputError` for a character that XML
     cannot carry, since forms and tags reach the XML output as they are.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        # Bytes, not read_text: universal newlines would end a line at a lone \r.
+        text = Path(path).read_bytes().decode("utf-8")
     except OSError as exc:
         raise InputError(f"cannot read tag file {path}: {exc}") from None
     except UnicodeDecodeError as exc:

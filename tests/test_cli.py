@@ -121,6 +121,14 @@ def test_analyze_strict_unmappable_tag_exits_three(en_bio_path, tmp_path, capsys
     assert "analysis error" in capsys.readouterr().err
 
 
+def test_analyze_reports_a_lone_cr_line_as_one_malformed_line(en_bio_path, tmp_path, capsys):
+    tags = tmp_path / "tags.tsv"
+    tags.write_bytes(b"Aspirin\tNNP\ninhibits\tVBZ\rcyclooxygenase\tNN\n.\t.\n")
+    code = main(["analyze", "--bundle", en_bio_path, "--lenient", "--external-tags", str(tags)])
+    assert code == 2
+    assert capsys.readouterr().err == "input error: line 2: expected exactly one tab\n"
+
+
 def test_analyze_lenient_with_external_tags_succeeds(en_bio_path, tmp_path):
     tags = tmp_path / "tags.tsv"
     tags.write_text("Foo\tFW\n\nAspirin\tNNP\ninhibits\tVBZ\ncyclooxygenase\tNN\n", encoding="utf-8")

@@ -9,10 +9,14 @@ import pytest
 from bundlegen import random_bundle
 from xdoc.errors import CyclicOntology, MalformedResource
 from xdoc.resources import (
+    CaseFrame,
     Category,
+    FrameSlot,
     Grammar,
     GrammarRule,
+    Ontology,
     ResourceBundle,
+    SemLexEntry,
     load_bundle,
     loads_bundle,
     serialize_bundle,
@@ -455,6 +459,40 @@ EXACT_MESSAGES = [
         ),
         "semlex/entry[2]: duplicate entry for ('a', 'N')",
     ),
+    # Past the first record of each reader that forms its location only
+    # when it refuses a record.
+    (
+        _in_bundle('<taglexicon><w form="a" tags="X"/><w form="b" tags="Y"/><w form="c"/></taglexicon>'),
+        "taglexicon/w[3]: missing required attribute 'tags'",
+    ),
+    (
+        _in_bundle('<abbreviations><abbr form="Dr."/><abbr/></abbreviations>'),
+        "abbreviations/abbr[2]: missing required attribute 'form'",
+    ),
+    (
+        _in_bundle(
+            '<semlex><entry lemma="a" pos="N" semclass="c"/><entry lemma="b" pos="N" semclass="c"/>'
+            '<entry lemma="a" pos="N" semclass="d"/></semlex>'
+        ),
+        "semlex/entry[3]: duplicate entry for ('a', 'N')",
+    ),
+    (
+        _in_bundle(
+            '<rules><rule from="A" to="B" trigger="prev_tag" value="X"/>'
+            '<rule from="A" to="B" trigger="sideways" value="X"/></rules>'
+        ),
+        "rules/rule[2]: unknown trigger 'sideways'",
+    ),
+    (
+        _in_bundle(
+            '<frames><frame id="f" predicate="p" relation="r">'
+            '<slot role="a" gf="subject" fill="c" required="true"/></frame>'
+            '<frame id="g" predicate="q" relation="r">'
+            '<slot role="a" gf="subject" fill="c" required="true"/>'
+            '<slot role="b" gf="object" required="true"/></frame></frames>'
+        ),
+        "frames/frame[2]/slot[2]: missing required attribute 'fill'",
+    ),
 ]
 
 
@@ -547,3 +585,86 @@ def test_lookup_tables_are_built_on_first_use_only(en_bio_path):
     assert bundle.frames_by_lemma == {
         lemma: tuple(f for f in bundle.frames if f.predicate_lemma == lemma) for lemma in lemmas
     }
+
+
+def _slot(role: str, gf: str) -> FrameSlot:
+    return FrameSlot(role, gf, "c", True)
+
+
+# What loads_bundle refuses in a document, each constructor refuses in code,
+# so no bundle built in code serializes to XML that does not load.
+@pytest.mark.parametrize(
+    "build,error,message",
+    [
+        (lambda: ResourceBundle("en", tag_lexicon={"a": ("NN",), "b": ()}),
+         ValueError, "empty tag list for form 'b'"),
+        (lambda: ResourceBundle("en", sem_lexicon=(
+            SemLexEntry("a", "N", "x"), SemLexEntry("b", "N", "x"), SemLexEntry("a", "N", "y"))),
+         ValueError, r"duplicate entry for \('a', 'N'\)"),
+        (lambda: Ontology(frozenset({"a"}), {"a": frozenset({"b"})}),
+         ValueError, "isa target 'b' is not a concept"),
+        (lambda: Ontology(frozenset({"a"}), {"b": frozenset({"a"})}),
+         ValueError, "isa source 'b' is not a concept"),
+        (lambda: Ontology(frozenset({"a"}), lexmap={"s": "b"}),
+         ValueError, "lexmap target 'b' is not a concept"),
+        (lambda: Ontology(frozenset({"a", "b"}), {"a": frozenset({"b"}), "b": frozenset({"a"})}),
+         CyclicOntology, "isa cycle"),
+        (lambda: CaseFrame("f", "p", "r", (_slot("a", "subject"), _slot("b", "subject"))),
+         ValueError, "more than one slot with gf 'subject'"),
+        (lambda: CaseFrame("f", "p", "r", (_slot("a", "subject"), _slot("a", "object"))),
+         ValueError, "duplicate role 'a'"),
+    ],
+    ids=["untagged-form", "semlex-pair", "isa-target", "isa-source", "lexmap-target",
+         "isa-cycle", "slot-gf", "slot-role"],
+)
+def test_constructors_refuse_what_the_loader_refuses_in_code(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
+def test_one_lemma_may_carry_several_parser_tags():
+    entries = (SemLexEntry("a", "N", "x"), SemLexEntry("a", "V", "y"))
+    assert ResourceBundle("en", sem_lexicon=entries).sem_lexicon == entries
+
+
+def test_record_table_follows_field_order():
+    from xdoc.resources import _record
+
+    with pytest.raises(TypeError, match="must follow the fields of SemLexEntry"):
+        _record("entry", SemLexEntry, pos="pos", lemma="lemma", semclass="semclass")
+
+
+def _large_bundle(rng: random.Random) -> ResourceBundle:
+    base = random_bundle(rng)
+    tags = sorted(base.tagset_map) or ["T0"]
+    forms = {f"{rng.choice('abcxyz&<')}{i}": tuple(rng.sample(tags, 1)) for i in range(2500)}
+    entries = tuple(
+        SemLexEntry(f"lemma{i}", rng.choice(["N", "V", "ADJ"]), f"class{i % 17}\"")
+        for i in range(2500)
+    )
+    return replace(base, tag_lexicon=forms, sem_lexicon=entries)
+
+
+def test_round_trip_large_generated_bundle():
+    bundle = _large_bundle(random.Random(20261018))
+    assert len(bundle.tag_lexicon) >= 2000 and len(bundle.sem_lexicon) >= 2000
+    text = serialize_bundle(bundle)
+    reloaded = loads_bundle(text)
+    assert reloaded == bundle
+    assert serialize_bundle(reloaded).encode("utf-8") == text.encode("utf-8")
+
+
+def test_validate_orders_unsorted_lexicon_findings_by_location():
+    bundle = ResourceBundle(
+        "en",
+        tag_lexicon={"zeta": ("XX",), "alpha": ("YY", "NN"), "mid": ("ZZ", "AA")},
+        default_tag="NN",
+        tagset_map={"NN": "N"},
+    )
+    findings = [(f.location, f.detail) for f in validate_bundle(bundle)]
+    assert findings == [
+        ("taglexicon/w[alpha]", "tag 'YY' has no tagset mapping"),
+        ("taglexicon/w[mid]", "tag 'AA' has no tagset mapping"),
+        ("taglexicon/w[mid]", "tag 'ZZ' has no tagset mapping"),
+        ("taglexicon/w[zeta]", "tag 'XX' has no tagset mapping"),
+    ]

@@ -235,3 +235,15 @@ def test_segment_matches_naive_reference(text, abbrevs):
 @given(st.text(alphabet=st.sampled_from(sorted(PUNCTUATION) + list("aZ1ä .-"))))
 def test_is_punctuation_matches_character_test(form):
     assert is_punctuation(form) == (bool(form) and all(ch in PUNCTUATION for ch in form))
+
+
+def test_segment_builds_the_abbreviation_table_once_per_set():
+    from xdoc.structure import _abbreviation_table
+
+    abbrevs = frozenset({"Dr.", "e.g."})
+    segment("Dr. Smith came. He left.", abbrevs)
+    before = _abbreviation_table.cache_info()
+    tokens, _ = segment("See e.g. Dr. Who. And that.", abbrevs)
+    after = _abbreviation_table.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert [t.form for t in tokens][:4] == ["See", "e.g.", "Dr.", "Who"]

@@ -250,3 +250,22 @@ def test_import_external_tags_without_trailing_newline(tmp_path):
     path.write_text("a\tX\nb\tY", encoding="utf-8")
     sentences = import_external_tags(path)
     assert [(t.token.form, t.source_tag) for t in sentences[0]] == [("a", "X"), ("b", "Y")]
+
+
+def test_import_external_tags_keeps_a_lone_cr_inside_its_line(tmp_path):
+    # Only \n ends a line, so the lone \r joins two form<TAB>tag pairs
+    # into one line with two tabs.
+    path = tmp_path / "tags.tsv"
+    path.write_bytes(b"Aspirin\tNNP\ninhibits\tVBZ\rcyclooxygenase\tNN\n.\t.\n")
+    with pytest.raises(MalformedLine) as exc:
+        import_external_tags(path)
+    assert exc.value.line_number == 2
+
+
+def test_import_external_tags_numbers_lines_past_a_lone_cr(tmp_path):
+    # Line 1 is blank with a lone \r in it; the bad line is line 2.
+    path = tmp_path / "tags.tsv"
+    path.write_bytes(b" \r \nAspirin NNP\n")
+    with pytest.raises(MalformedLine) as exc:
+        import_external_tags(path)
+    assert exc.value.line_number == 2
