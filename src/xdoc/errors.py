@@ -60,7 +60,11 @@ class UnmappedTag(AnalysisError):
 
 
 class TooAmbiguous(AnalysisError):
-    """Tree enumeration would exceed the ambiguity cap."""
+    """Listing every tree would exceed the ambiguity cap.
+
+    Raised by ``complete_parses`` and so by ``xdoc parse``; the analysis
+    pipeline reads one tree and never raises it.
+    """
 
     def __init__(self, limit: int):
         super().__init__(f"more than {limit} parse trees; refusing to enumerate")

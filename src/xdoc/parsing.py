@@ -34,9 +34,11 @@ complete parse exists.
 One reader, :func:`_trees`, reads trees off the chart: a node's trees in
 derivation order (rule index, then child spans), cutting any derivation
 through a node already on the path, and stopping at an optional limit.
-:func:`complete_parses` first counts the start symbol's trees with
-:func:`_count_trees`, which gives up past ``TREE_LIMIT``, and only then
-reads them all; :func:`chunks` reads one tree per chosen constituent.
+:func:`first_parse` reads the start symbol's first tree, at the cost of
+that tree's size; :func:`chunks` reads one tree per chosen constituent.
+Only :func:`complete_parses`, which lists every tree, has an ambiguity
+policy: it first counts the trees with :func:`_count_trees`, which
+gives up past ``TREE_LIMIT``, and only then reads them all.
 Trees are :class:`ParseTree` values, a :class:`typing.NamedTuple`
 built once per tree node: immutable and hashable, and, being a tuple,
 a tree unpacks, has a ``len`` and equals a plain tuple of its fields.
@@ -56,6 +58,7 @@ __all__ = [
     "ParseTree",
     "Chart",
     "parse",
+    "first_parse",
     "complete_parses",
     "chunks",
     "render_bracketed",
@@ -335,15 +338,33 @@ def _trees(
     return trees
 
 
+def _roots(chart: Chart, start_symbol: str) -> list[_Node]:
+    """The start symbol's nodes over the full span, in id order."""
+    nodes = chart.nodes
+    from_zero = chart._by_start_name.get((0, start_symbol), ())  # ids ascend, as in chart.nodes
+    return [nodes[i] for i in from_zero if nodes[i].end == chart.length]
+
+
+def first_parse(chart: Chart, start_symbol: str) -> ParseTree | None:
+    """The first tree :func:`complete_parses` would list, or None if it lists none.
+
+    Reads one tree, however many the chart packs; never raises
+    :class:`TooAmbiguous`.
+    """
+    for node in _roots(chart, start_symbol):
+        first = _trees(chart, node, None, set(), 1)
+        if first:
+            return first[0]
+    return None
+
+
 def complete_parses(chart: Chart, start_symbol: str) -> list[ParseTree]:
     """Every distinct derivation of the start symbol over the full span.
 
     Trees are enumerated deterministically (rule index, then child
     spans).  Raises :class:`TooAmbiguous` beyond ``TREE_LIMIT`` trees.
     """
-    nodes = chart.nodes
-    from_zero = chart._by_start_name.get((0, start_symbol), ())  # ids ascend, as in chart.nodes
-    roots = [nodes[i] for i in from_zero if nodes[i].end == chart.length]
+    roots = _roots(chart, start_symbol)
     count_memo: dict[int, int] = {}
     total = sum(_count_trees(chart, node, count_memo, set()) for node in roots)
     if total > TREE_LIMIT:

@@ -9,6 +9,11 @@ what a prefix keeps, so a prefix means the same for both inputs.
 Strict runs abort on the first analysis error; lenient runs record a
 diagnostic on the failing sentence and continue with the rest.
 
+The parse stage keeps one tree per sentence, the first that
+``complete_parses`` would list, and reads only that tree off the packed
+chart, so no sentence is refused for its number of readings.  A sentence
+without a complete parse falls back to chunks.
+
 A sentence's ``tagged`` holds every token with all its annotations and
 ``parse_input`` its words, the same objects; both are set once per sentence.
 Pure punctuation tokens are tagged like everything else but excluded
@@ -25,8 +30,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import InputError, ResourceError, TooAmbiguous, UnmappedTag
-from .parsing import ParseTree, chunks, complete_parses, parse
+from .errors import InputError, ResourceError, UnmappedTag
+from .parsing import ParseTree, chunks, first_parse, parse
 from .resources import (
     _NOT_XML_IN_WORDS,
     ResourceBundle,
@@ -171,14 +176,7 @@ def _analyze_sentence(
 
     if "parse" in stages and words:
         chart = parse([t.parser_tag for t in words], bundle.grammar)
-        try:
-            trees = complete_parses(chart, bundle.grammar.start_symbol)
-        except TooAmbiguous as exc:
-            if not lenient:
-                raise
-            analysis.diagnostics += (Diagnostic("TooAmbiguous", str(exc)),)
-            trees = []
-        analysis.tree = trees[0] if trees else None
+        analysis.tree = first_parse(chart, bundle.grammar.start_symbol)
         if analysis.tree is None:
             analysis.chunk_trees = tuple(chunks(chart))
 

@@ -482,8 +482,12 @@ _READERS = {"str": _require, "int": _int_attr, "bool": _bool_attr,
 
 
 def _esc(value: str) -> str:
+    """``value`` as XML attribute text; ValueError for a character XML 1.0 cannot carry."""
     if value.isalnum():  # most forms, tags and ids: nothing to escape
         return value
+    bad = _NOT_XML.search(value)
+    if bad is not None:
+        raise ValueError(f"character U+{ord(bad.group()):04X} in {value!r} cannot be written as XML")
     value = (
         value.replace("&", "&amp;")
         .replace("<", "&lt;")

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from cyk_oracle import brute_force_spans, chart_spans, count_bracketings
 from grammargen import TERMINAL_POOL, feature_tags, random_case, to_grammar
 from test_chart_reference import clause
+from xdoc import parsing
 from xdoc.errors import EmptyInput, TooAmbiguous
 from xdoc.parsing import (
     ParseTree,
@@ -18,6 +19,7 @@ from xdoc.parsing import (
     chunks,
     complete_parses,
     features_match,
+    first_parse,
     parse,
     render_bracketed,
 )
@@ -221,7 +223,7 @@ def test_chunks_tie_broken_by_rule_order():
 
 
 def test_chunks_read_the_first_complete_parse(de_core):
-    # The one-tree read and the full read agree wherever a complete parse exists.
+    # The one-tree reads and the full read agree wherever a complete parse exists.
     cases = [(["N"] * 5, AMBIG_NP, "NP", 14)] + [
         (clause(*sizes), de_core.grammar, "S", readings)
         for sizes, readings in (((0, 0), 1), ((3, 3), 25), ((4, 4), 196))
@@ -231,6 +233,45 @@ def test_chunks_read_the_first_complete_parse(de_core):
         trees = complete_parses(chart, start_symbol)
         assert len(trees) == readings
         assert chunks(chart) == [trees[0]]
+        assert first_parse(chart, start_symbol) == trees[0]
+
+
+@pytest.mark.parametrize("sizes, readings", [((4, 5), 588), ((6, 4), 1848)])
+def test_first_parse_reads_a_clause_over_the_cap(de_core, monkeypatch, sizes, readings):
+    chart = parse(clause(*sizes), de_core.grammar)
+    with pytest.raises(TooAmbiguous):
+        complete_parses(chart, "S")
+    tree = first_parse(chart, "S")
+    monkeypatch.setattr(parsing, "TREE_LIMIT", readings)  # lift the cap to list them all
+    trees = complete_parses(chart, "S")
+    assert len(trees) == readings
+    assert tree == trees[0]
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_first_parse_is_the_first_listed_tree(seed):
+    # Random grammars with features, unary cycles among them: wherever the
+    # full listing answers, the one-tree read gives its first tree.  Few
+    # random strings parse, so each constituent's span is read as a
+    # sentence of its own too.
+    rng = random.Random(seed)
+    rules, _ = random_case(rng)
+    grammar = to_grammar(rules, rng)
+    for _ in range(4):
+        tags = [rng.choice(TERMINAL_POOL) for _ in range(rng.randint(1, 7))]
+        if rng.random() < 0.75:
+            tags = feature_tags(tags, rng)
+        nodes = parse(tags, grammar).nodes[len(tags):]
+        spans = [(0, len(tags), symbol) for symbol in sorted(grammar.lhs_names())]
+        spans += sorted({(n.start, n.end, n.category.name) for n in nodes})
+        for start, end, symbol in spans:
+            chart = parse(tags[start:end], grammar)
+            try:
+                trees = complete_parses(chart, symbol)
+            except TooAmbiguous:
+                continue
+            assert first_parse(chart, symbol) == (trees[0] if trees else None)
 
 
 # Randomized oracle comparison. A small slice runs here; the full sweep

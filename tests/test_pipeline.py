@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xdoc import pipeline
-from xdoc.errors import InputError, MalformedResource, ResourceError, UnmappedTag
-from xdoc.parsing import ParseTree
+from xdoc import parsing, pipeline
+from xdoc.errors import InputError, MalformedResource, ResourceError, TooAmbiguous, UnmappedTag
+from xdoc.parsing import ParseTree, complete_parses, parse, render_bracketed
 from xdoc.pipeline import (
     STAGES,
     AnnotatedDocument,
@@ -442,6 +442,15 @@ def test_lone_surrogate_is_an_input_error_naming_its_byte_offset(en_bio):
         analyze_text(en_bio, "Ab\u00e9\ud800 inhibits")
 
 
+def test_bundle_string_xml_cannot_carry_makes_emit_xml_raise(en_bio):
+    # Only a bundle built in code can hold one: the loader reads XML.
+    bundle = replace(en_bio, default_tag="NN\x01")
+    doc = analyze_text(bundle, "zzz .", stages=STAGES[:3])
+    assert doc.sentences[0].tagged[0].source_tag == "NN\x01"
+    with pytest.raises(ValueError, match="U\\+0001 in 'NN\\\\x01' cannot be written as XML"):
+        emit_xml(doc)
+
+
 def test_two_predicate_run_on_yields_one_relation_per_predicate(en_bio):
     doc = analyze_text(en_bio, "Aspirin inhibits cyclooxygenase water inhibits cyclooxygenase .")
     rows = export_relations(doc).splitlines()[1:]
@@ -499,22 +508,31 @@ def ambiguous_bundle_path(tmp_path):
     return path
 
 
-def test_overambiguous_sentence_aborts_in_strict_mode(tmp_path):
-    from xdoc.errors import TooAmbiguous
+def first_ambiguous_np(words: int) -> str:
+    """The first tree of ``words`` N under AMBIGUOUS_BUNDLE: each split takes the shortest left part."""
+    return "(NP N)" if words == 1 else f"(NP (NP N) {first_ambiguous_np(words - 1)})"
 
+
+def assert_first_ambiguous_tree(analysis):
+    assert render_bracketed(analysis.tree) == first_ambiguous_np(9)
+    assert (analysis.tree.start, analysis.tree.end) == (0, 9)
+    assert analysis.diagnostics == ()
+    assert analysis.chunk_trees == ()
+    assert not analysis.failed
+
+
+def test_overambiguous_sentence_gets_its_first_tree_in_strict_mode(tmp_path):
     path = ambiguous_bundle_path(tmp_path)
-    with pytest.raises(TooAmbiguous):
-        run_pipeline(path, "a b c d e f g h i")
+    with pytest.raises(TooAmbiguous):  # 1,430 readings: over the cap of the full listing
+        complete_parses(parse(["N"] * 9, load_bundle(path).grammar), "NP")
+    doc = run_pipeline(path, "a b c d e f g h i")
+    assert_first_ambiguous_tree(doc.sentences[0])
 
 
-def test_overambiguous_sentence_degrades_to_chunks_when_lenient(tmp_path):
+def test_overambiguous_sentence_gets_its_first_tree_when_lenient(tmp_path):
     path = ambiguous_bundle_path(tmp_path)
     doc = run_pipeline(path, "a b c d e f g h i", lenient=True)
-    analysis = doc.sentences[0]
-    assert [d.code for d in analysis.diagnostics] == ["TooAmbiguous"]
-    assert analysis.tree is None
-    assert analysis.chunk_trees
-    assert not analysis.failed
+    assert_first_ambiguous_tree(doc.sentences[0])
 
 
 def test_single_slot_frame_produces_no_binary_relation(en_bio):
@@ -654,8 +672,9 @@ def _de_np(article, head, genitives):
     return words
 
 
-# A 588-reading clause (TooAmbiguous, then chunks), a verbless genitive chain
-# (no complete parse, chunks) and an unmappable tag (a failed sentence).
+# A 588-reading clause (over the cap of the full listing, one tree read),
+# a verbless genitive chain (no complete parse, chunks) and an unmappable
+# tag (a failed sentence).
 DE_LENIENT_TAGS = "\n\n".join(
     "\n".join(f"{form}\t{tag}" for form, tag in sentence)
     for sentence in (
@@ -705,10 +724,28 @@ def test_warm_bundle_gives_the_bytes_of_a_cold_one(en_bio_path, de_core_path, tm
     calls = _reuse_calls(en_bio_path, de_core_path, tmp_path)
     cold = _cold_outputs(calls, monkeypatch)
     lenient_xml = cold[4][0]
-    assert 'code="TooAmbiguous"' in lenient_xml and 'code="UnmappedTag"' in lenient_xml
-    assert "<parse>" not in lenient_xml and "<relations>" in lenient_xml  # chunk fallback
+    assert "TooAmbiguous" not in lenient_xml
+    s1, s2, s3 = ET.fromstring(lenient_xml).findall("sentence")
+    assert s1.find("parse") is not None and s1.find("diagnostics") is None
+    assert s2.find("parse") is None and s2.find("relations") is not None  # chunk fallback
+    assert [d.get("code") for d in s3.iter("diag")] == ["UnmappedTag"]
     assert _rendered(calls) == cold
     assert _rendered(calls) == cold
+
+
+def test_analysis_never_counts_trees(de_core_path, tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("trees counted")
+
+    monkeypatch.setattr(parsing, "_count_trees", refuse)
+    path = ambiguous_bundle_path(tmp_path)
+    with pytest.raises(AssertionError, match="trees counted"):
+        complete_parses(parse(["N"], load_bundle(path).grammar), "NP")
+    doc = run_pipeline(path, "a b c d e f g h i")
+    assert_first_ambiguous_tree(doc.sentences[0])
+    tags = external_tags_file(tmp_path, DE_LENIENT_TAGS)
+    doc = run_pipeline(de_core_path, external_tags=tags, lenient=True)
+    assert [a.tree is not None for a in doc.sentences] == [True, False, False]
 
 
 def test_threads_sharing_a_bundle_give_the_bytes_of_one_thread(

@@ -271,6 +271,13 @@ def test_serialize_escapes_attribute_values():
     assert loads_bundle(text) == bundle
 
 
+def test_serialize_refuses_a_character_xml_cannot_carry():
+    # The constructors let it pass; the one escaper refuses to write it.
+    bundle = ResourceBundle("en", abbreviations=frozenset({"a\x01."}))
+    with pytest.raises(ValueError, match="U\\+0001 in 'a\\\\x01.' cannot be written as XML"):
+        serialize_bundle(bundle)
+
+
 def test_round_trip_generated_bundles():
     rng = random.Random(20240817)
     for _ in range(25):
