@@ -415,10 +415,17 @@ def render_bracketed(tree: ParseTree, forms: Sequence[str] | None = None) -> str
     ``forms`` maps leaf positions to surface forms; without it leaves
     print as their bare category label.
     """
-    label = tree.category.label()
-    if tree.is_leaf:
-        if forms is not None:
-            return f"({label} {forms[tree.start]})"
-        return label
-    inner = " ".join(render_bracketed(child, forms) for child in tree.children)
-    return f"({label} {inner})"
+    parts: list[str] = []
+    stack: list[ParseTree | str] = [tree]  # a str is written as it is
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            parts.append(node)
+        elif node.is_leaf:
+            label = node.category.label()
+            parts.append(label if forms is None else f"({label} {forms[node.start]})")
+        else:
+            parts.append(f"({node.category.label()}")
+            stack.append(")")
+            stack.extend(item for child in reversed(node.children) for item in (child, " "))
+    return "".join(parts)

@@ -27,6 +27,7 @@ table ordered by document position.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -298,14 +299,20 @@ def _token_line(token: Token, annotated: TaggedToken | None, indent: str) -> str
 
 
 def _tree_xml(tree: ParseTree, parse_input: Sequence[TaggedToken], indent: str) -> list[str]:
-    rendered = f' cat="{_esc(tree.category.name)}"{_attrs(tree.category.features)}'
-    if tree.is_leaf:
-        token_id = parse_input[tree.start].token.id
-        return [f'{indent}<node{rendered} ref="{token_id}"/>']
-    lines = [f"{indent}<node{rendered}>"]
-    for child in tree.children:
-        lines.extend(_tree_xml(child, parse_input, indent + "  "))
-    lines.append(f"{indent}</node>")
+    lines: list[str] = []
+    stack: list[tuple[ParseTree | None, str]] = [(tree, indent)]  # (None, line) closes a node
+    while stack:
+        node, indent = stack.pop()
+        if node is None:
+            lines.append(indent)
+            continue
+        rendered = f' cat="{_esc(node.category.name)}"{_attrs(node.category.features)}'
+        if node.children:
+            lines.append(f"{indent}<node{rendered}>")
+            stack.append((None, f"{indent}</node>"))
+            stack.extend(zip(reversed(node.children), repeat(indent + "  ")))
+        else:
+            lines.append(f'{indent}<node{rendered} ref="{parse_input[node.start].token.id}"/>')
     return lines
 
 

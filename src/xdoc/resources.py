@@ -2,10 +2,10 @@
 
 A bundle is one XML file carrying every language-dependent fact the
 analysis stages consume: abbreviation lexicon, tag lexicon and context
-rules, tagset map, grammar, lemma rules, semantic lexicon, case frames,
-ontology and noun-phrase structure patterns.  The code in the rest of
-the package is language independent; swapping the bundle swaps the
-language.
+rules, tagset map, grammar, grammatical functions, lemma rules, semantic
+lexicon, case frames, ontology and noun-phrase structure patterns.  The
+code in the rest of the package is language independent; swapping the
+bundle swaps the language.
 
 Loading enforces per-section invariants only, and the constructors
 refuse what the loader refuses in a record or a section.  Cross-section
@@ -45,6 +45,7 @@ __all__ = [
     "ContextRule",
     "LemmaRule",
     "SemLexEntry",
+    "GrammaticalFunction",
     "FrameSlot",
     "CaseFrame",
     "Ontology",
@@ -63,7 +64,6 @@ __all__ = [
 _TRIGGER_OFFSETS = {"prev_tag": -1, "next_tag": 1, "prev2_tag": -2, "next2_tag": 2,
                     "prev_word": -1, "next_word": 1}
 TRIGGERS = frozenset(_TRIGGER_OFFSETS)
-GF_MODES = frozenset({"positional", "case-marked"})
 GF_SLOTS = frozenset({"subject", "object"})
 
 
@@ -90,12 +90,6 @@ class Category:
         if not self.name:
             raise ValueError("category name must be non-empty")
         object.__setattr__(self, "features", _feature_items(self.features))
-
-    def feature(self, key: str) -> str | None:
-        for k, v in self.features:
-            if k == key:
-                return v
-        return None
 
     def label(self) -> str:
         """Render for debug output, e.g. ``NP[case=nom]``."""
@@ -245,6 +239,28 @@ class SemLexEntry:
 
 
 @dataclass(frozen=True)
+class GrammaticalFunction:
+    """Where a grammatical function binds: see :func:`xdoc.semantics.grammatical_functions`."""
+
+    gf: str
+    category: Category
+    after: str | None = None
+    before: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.gf not in GF_SLOTS:
+            raise ValueError(f"unknown grammatical function {self.gf!r}")
+        _check_unreserved(self.category)
+
+
+def _function_clash(functions: Sequence[GrammaticalFunction]) -> tuple[int, str] | None:
+    """The index of the first function declared twice, with the reason, or None."""
+    gfs = [function.gf for function in functions]
+    i = next((i for i, gf in enumerate(gfs) if gf in gfs[:i]), None)
+    return None if i is None else (i, f"more than one declaration of {gfs[i]!r}")
+
+
+@dataclass(frozen=True)
 class FrameSlot:
     role: str
     gf: str
@@ -384,7 +400,7 @@ class ResourceBundle:
     tagset_source: str = ""
     tagset_map: dict[str, str] = field(default_factory=dict)
     grammar: Grammar = Grammar()
-    gf_mode: str = "positional"
+    functions: tuple[GrammaticalFunction, ...] = ()
     lemma_rules: tuple[LemmaRule, ...] = ()
     sem_lexicon: tuple[SemLexEntry, ...] = ()
     frames: tuple[CaseFrame, ...] = ()
@@ -394,18 +410,10 @@ class ResourceBundle:
     def __post_init__(self) -> None:
         if not self.lang:
             raise ValueError("bundle language must be non-empty")
-        if self.gf_mode not in GF_MODES:
-            raise ValueError(f"unknown grammatical-function mode {self.gf_mode!r}")
-        if self.gf_mode == "case-marked" and not any(
-            cat.feature("case") is not None
-            for rule in self.grammar.rules
-            for cat in (rule.lhs, *rule.rhs)
-        ):
-            raise ValueError("case-marked mode requires at least one category with a case feature")
         if not all(self.tag_lexicon.values()):
             form = next(form for form, tags in self.tag_lexicon.items() if not tags)
             raise ValueError(f"empty tag list for form {form!r}")
-        clash = _semlex_clash(self.sem_lexicon)
+        clash = _semlex_clash(self.sem_lexicon) or _function_clash(self.functions)
         if clash is not None:
             raise ValueError(clash[1])
 
@@ -539,8 +547,8 @@ def _record(tag: str, cls: type, **attrs: str) -> _Record:
     return _Record(tag, cls, triples, children_at)
 
 
-# The record table.  Frames and patterns declare their header attributes
-# here; their slots and items come from their child elements.
+# The record table.  Functions, frames and patterns declare their header
+# attributes here; the rest of each comes from its child elements.
 _CONTEXT_RULE = _record(
     "rule", ContextRule, from_tag="from", to_tag="to", trigger="trigger", trigger_value="value"
 )
@@ -549,6 +557,7 @@ _SEMLEX_ENTRY = _record("entry", SemLexEntry, lemma="lemma", pos="pos", semclass
 _FRAME_SLOT = _record(
     "slot", FrameSlot, role="role", gf="gf", fill_concept="fill", required="required"
 )
+_FUNCTION = _record("function", GrammaticalFunction, gf="gf", after="after", before="before")
 _CASE_FRAME = _record("frame", CaseFrame, id="id", predicate_lemma="predicate", relation="relation")
 _PATTERN_ITEM = _record("m", PatternItem, name="name", form="form")
 _STRUCT_PATTERN = _record(
@@ -592,14 +601,16 @@ def _section(tag: str, items: list[str], attrs: Sequence[tuple[str, str]] = ()) 
     return [f"  <{tag}{_attrs(attrs)}>", *(f"    {item}" for item in items), f"  </{tag}>"]
 
 
-def _record_section(tag: str, field_name: str, record: _Record) -> tuple:
+def _record_section(tag: str, field_name: str, record: _Record,
+                    read_children=None, write_children=lambda item: None) -> tuple:
     """The section table entry of a section that holds only ``record`` elements."""
 
     def read(elem: ET.Element) -> dict:
-        return {field_name: tuple(_read_records(elem, record))}
+        return {field_name: tuple(_read_records(elem, record, read_children))}
 
     def write(bundle: ResourceBundle) -> list[str]:
-        return _section(tag, [_write_record(record, item) for item in getattr(bundle, field_name)])
+        items = getattr(bundle, field_name)
+        return _section(tag, [_write_record(record, item, write_children(item)) for item in items])
 
     return tag, read, write
 
@@ -694,9 +705,6 @@ def _read_rule(elem: ET.Element) -> GrammarRule:
 
 
 def _read_grammar(elem: ET.Element) -> dict:
-    gf_mode = elem.get("gf", "positional")
-    if gf_mode not in GF_MODES:
-        raise ValueError(f"unknown gf mode {gf_mode!r}")
     start = _require(elem, "start")
     rules = []
     for i, child in enumerate(_children(elem, {"rule"}), 1):
@@ -704,20 +712,31 @@ def _read_grammar(elem: ET.Element) -> dict:
             rules.append(_read_rule(child))
         except (ValueError, MalformedResource) as exc:
             raise _at(f"rule[{i}]", exc) from None
-    return {"grammar": Grammar(start, tuple(rules)), "gf_mode": gf_mode}
+    return {"grammar": Grammar(start, tuple(rules))}
+
+
+def _write_category(cat: Category) -> str:
+    return f"<cat{_attrs([('name', cat.name), *cat.features])}/>"
 
 
 def _write_grammar(bundle: ResourceBundle) -> list[str]:
     grammar = bundle.grammar
-    attrs = [("start", grammar.start_symbol), ("gf", bundle.gf_mode)]
+    attrs = [("start", grammar.start_symbol)]
     if not grammar.rules:
         return [f"  <grammar{_attrs(attrs)}/>"] if grammar.start_symbol else []
     rules = []
     for rule in grammar.rules:
         pairs = [("lhs", rule.lhs.name), *rule.lhs.features, ("head", str(rule.head))]
-        cats = "".join(f"<cat{_attrs([('name', cat.name), *cat.features])}/>" for cat in rule.rhs)
+        cats = "".join(_write_category(cat) for cat in rule.rhs)
         rules.append(f"<rule{_attrs(pairs)}>{cats}</rule>")
     return _section("grammar", rules, attrs)
+
+
+def _read_function_category(elem: ET.Element) -> Category:
+    cats = _children(elem, {"cat"})
+    if len(cats) != 1:
+        raise ValueError(f"expected one <cat>, got {len(cats)}")
+    return _read_category(cats[0])
 
 
 def _read_slots(elem: ET.Element) -> tuple[FrameSlot, ...]:
@@ -726,18 +745,6 @@ def _read_slots(elem: ET.Element) -> tuple[FrameSlot, ...]:
     if clash is not None:
         raise MalformedResource(f"{_FRAME_SLOT.tag}[{clash[0] + 1}]", clash[1])
     return tuple(slots)
-
-
-def _read_frames(elem: ET.Element) -> dict:
-    return {"frames": tuple(_read_records(elem, _CASE_FRAME, _read_slots))}
-
-
-def _write_frames(bundle: ResourceBundle) -> list[str]:
-    frames = []
-    for frame in bundle.frames:
-        slots = "".join(f"\n      {_write_record(_FRAME_SLOT, slot)}" for slot in frame.slots)
-        frames.append(_write_record(_CASE_FRAME, frame, f"{slots}\n    "))
-    return _section("frames", frames)
 
 
 def _read_parents(elem: ET.Element, concepts: Container[str]) -> set[str]:
@@ -808,22 +815,6 @@ def _write_ontology(bundle: ResourceBundle) -> list[str]:
     return _section("ontology", items)
 
 
-def _read_pattern_items(elem: ET.Element) -> tuple[PatternItem, ...]:
-    return tuple(_read_records(elem, _PATTERN_ITEM))
-
-
-def _read_structmap(elem: ET.Element) -> dict:
-    return {"struct_patterns": tuple(_read_records(elem, _STRUCT_PATTERN, _read_pattern_items))}
-
-
-def _write_structmap(bundle: ResourceBundle) -> list[str]:
-    patterns = []
-    for pattern in bundle.struct_patterns:
-        items = "".join(_write_record(_PATTERN_ITEM, item) for item in pattern.rhs_match)
-        patterns.append(_write_record(_STRUCT_PATTERN, pattern, items))
-    return _section("structmap", patterns)
-
-
 # The section table: each section's element, its reader (which returns
 # the bundle fields it fills) and its writer, in canonical order.
 _SECTIONS = (
@@ -832,11 +823,23 @@ _SECTIONS = (
     _record_section("rules", "context_rules", _CONTEXT_RULE),
     ("tagmap", _read_tagmap, _write_tagmap),
     ("grammar", _read_grammar, _write_grammar),
+    _record_section(
+        "functions", "functions", _FUNCTION,
+        _read_function_category, lambda function: _write_category(function.category),
+    ),
     _record_section("lemmarules", "lemma_rules", _LEMMA_RULE),
     _record_section("semlex", "sem_lexicon", _SEMLEX_ENTRY),
-    ("frames", _read_frames, _write_frames),
+    _record_section(
+        "frames", "frames", _CASE_FRAME, _read_slots,
+        lambda frame: "".join(f"\n      {_write_record(_FRAME_SLOT, slot)}" for slot in frame.slots)
+        + "\n    ",
+    ),
     ("ontology", _read_ontology, _write_ontology),
-    ("structmap", _read_structmap, _write_structmap),
+    _record_section(
+        "structmap", "struct_patterns", _STRUCT_PATTERN,
+        lambda elem: tuple(_read_records(elem, _PATTERN_ITEM)),
+        lambda pattern: "".join(_write_record(_PATTERN_ITEM, item) for item in pattern.rhs_match),
+    ),
 )
 _SECTION_READERS = {tag: read for tag, read, _ in _SECTIONS}
 
@@ -878,12 +881,13 @@ def loads_bundle(data: str | bytes) -> ResourceBundle:
     except ValueError as exc:
         # Each section's own checks were made above, with their locations.
         # What is left is a semantic lexicon entry that repeats an earlier
-        # (lemma, pos), located here only when refused, or a grammar that
-        # does not suit its gf mode.
-        clash = _semlex_clash(values.get("sem_lexicon", ()))
-        if clash is not None:
-            raise MalformedResource(f"semlex/{_SEMLEX_ENTRY.tag}[{clash[0] + 1}]", clash[1]) from None
-        raise MalformedResource("grammar", str(exc)) from None
+        # (lemma, pos) or a function declared twice, located here only
+        # when refused.
+        for where, clash in (("semlex/entry", _semlex_clash(values.get("sem_lexicon", ()))),
+                             ("functions/function", _function_clash(values.get("functions", ())))):
+            if clash is not None:
+                raise MalformedResource(f"{where}[{clash[0] + 1}]", clash[1]) from None
+        raise MalformedResource("resources", str(exc)) from None
 
 
 def _read_bundle_bytes(path: str | Path) -> bytes:
@@ -941,8 +945,9 @@ def validate_bundle(bundle: ResourceBundle) -> list[Finding]:
 
     Returns a deterministic report, ordered by location.  An empty report
     means every grammar terminal is a tagset-map target, every tag the
-    tagger can produce is mappable, frames and patterns only reference
-    material that exists, and the grammar has no unary rule cycles.
+    tagger can produce is mappable, functions, frames and patterns only
+    reference material that exists, every frame slot's function is
+    declared, and the grammar has no unary rule cycles.
     A bundle with neither lexicon entries nor a default tag draws only a
     warning: it cannot tag raw text, but it still analyzes tag files.
     """
@@ -1052,6 +1057,17 @@ def validate_bundle(bundle: ResourceBundle) -> list[Finding]:
                 )
             )
 
+    carried = {item for rule in bundle.grammar.rules for cat in (rule.lhs, *rule.rhs)
+               for item in cat.features}
+    for function in bundle.functions:
+        where = f"functions/function[{function.gf}]"
+        for name in {function.category.name, function.after, function.before} - known_cats - {None}:
+            detail = f"category {name!r} is neither a rule lhs nor a parser tag"
+            findings.append(_finding("UnknownFunctionCategory", where, detail))
+        for key, value in set(function.category.features) - carried:
+            detail = f"feature {key}={value} is carried by no grammar category"
+            findings.append(_finding("UnknownFunctionFeature", where, detail))
+
     for frame in bundle.frames:
         if frame.predicate_lemma not in lemmas:
             findings.append(
@@ -1062,11 +1078,15 @@ def validate_bundle(bundle: ResourceBundle) -> list[Finding]:
                 )
             )
         for slot in frame.slots:
+            where = f"frames/frame[{frame.id}]/slot[{slot.role}]"
+            if all(function.gf != slot.gf for function in bundle.functions):
+                detail = f"grammatical function {slot.gf!r} has no declaration"
+                findings.append(_finding("UndeclaredFunction", where, detail))
             if slot.fill_concept not in bundle.ontology.concepts:
                 findings.append(
                     _finding(
                         "DanglingConceptRef",
-                        f"frames/frame[{frame.id}]/slot[{slot.role}]",
+                        where,
                         f"fill concept {slot.fill_concept!r} is not in the ontology",
                     )
                 )

@@ -7,22 +7,19 @@ ontology subsumption checking each filler against the slot's concept
 constraint.  Noun-phrase structure patterns map constituent shapes to
 binary relations.
 
-Grammatical functions come in two modes.  Positional mode reads
-subject and object off constituent order around the VP, which suits
-fixed-order languages; case-marked mode selects noun phrases by their
-case feature wherever they stand, which suits languages where order is
-free and morphology carries the function.  The mode is bundle data, not
-code: the same functions serve every language.
+Grammatical functions are declared in the bundle, by position or by
+features alike, so this module names no category, feature or value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
 from .errors import UnknownConcept
 from .parsing import ParseTree
-from .resources import Ontology, ResourceBundle, StructPattern
+from .resources import GrammaticalFunction, Ontology, ResourceBundle, StructPattern
 from .tagging import TaggedToken
 
 __all__ = [
@@ -35,11 +32,6 @@ __all__ = [
     "instantiate_frames",
     "map_np_structure",
 ]
-
-SUBJECT_CAT = "NP"
-VERB_PHRASE_CAT = "VP"
-VERB_CAT = "V"
-
 
 @dataclass(frozen=True)
 class FrameInstance:
@@ -126,46 +118,34 @@ def subsumes(ontology: Ontology, ancestor: str, descendant: str) -> bool:
     return False
 
 
-def grammatical_functions(tree: ParseTree, mode: str) -> dict[str, ParseTree]:
-    """Pick subject and object constituents off a parse tree.
+def grammatical_functions(
+    tree: ParseTree, functions: Sequence[GrammaticalFunction]
+) -> dict[str, ParseTree]:
+    """Bind each declared function to the first node, in pre-order, it selects.
 
-    Positional: the subject is the first NP child of the root before the
-    VP child, the object the first NP child inside the VP after the V.
-    Case-marked: the subject is the first NP anywhere (pre-order) with
-    case=nom, the object the first with case=acc.  Functions that do not
-    occur stay unbound.
+    A declaration selects a node with its category's name and features,
+    an earlier sibling named ``after`` and a later one named ``before``
+    where those are given; the root has no siblings.
     """
     out: dict[str, ParseTree] = {}
-    if mode == "case-marked":
-        for node in tree.preorder():
-            case = node.category.feature("case")
-            if node.category.name != SUBJECT_CAT or case is None:
-                continue
-            if case == "nom" and "subject" not in out:
-                out["subject"] = node
-            elif case == "acc" and "object" not in out:
-                out["object"] = node
-        return out
-
-    kids = tree.children
-    vp_index = next(
-        (i for i, kid in enumerate(kids) if kid.category.name == VERB_PHRASE_CAT), None
-    )
-    if vp_index is None:
-        return out
-    for kid in kids[:vp_index]:
-        if kid.category.name == SUBJECT_CAT:
-            out["subject"] = kid
-            break
-    vp_kids = kids[vp_index].children
-    v_index = next(
-        (i for i, kid in enumerate(vp_kids) if kid.category.name == VERB_CAT), None
-    )
-    if v_index is not None:
-        for kid in vp_kids[v_index + 1 :]:
-            if kid.category.name == SUBJECT_CAT:
-                out["object"] = kid
-                break
+    wanted = {function.category.name for function in functions}
+    stack = [((tree,), 0)]  # (a node's siblings, its index among them)
+    while stack:
+        siblings, i = stack.pop()
+        category = siblings[i].category
+        if category.name in wanted:
+            names = [sibling.category.name for sibling in siblings]
+            for function in functions:
+                if (function.gf not in out and function.category.name == category.name
+                        and all(item in category.features for item in function.category.features)
+                        and (function.after is None or function.after in names[:i])
+                        and (function.before is None or function.before in names[i + 1 :])):
+                    out[function.gf] = siblings[i]
+            if len(out) == len(functions):
+                return out
+        kids = siblings[i].children
+        if kids:
+            stack.extend(zip(repeat(kids), range(len(kids) - 1, -1, -1)))
     return out
 
 
@@ -189,14 +169,13 @@ def instantiate_frames(
     instances: list[FrameInstance] = []
     diagnostics: list[Diagnostic] = []
     by_lemma = bundle.frames_by_lemma
-    if not by_lemma:
+    predicates = [t for t in tagged[tree.start : tree.end] if t.lemma in by_lemma]
+    if not predicates:
         return instances, diagnostics
 
-    functions = grammatical_functions(tree, bundle.gf_mode)
-    for t in tagged[tree.start : tree.end]:
-        if t.lemma is None:
-            continue
-        for frame in by_lemma.get(t.lemma, ()):
+    functions = grammatical_functions(tree, bundle.functions)
+    for t in predicates:
+        for frame in by_lemma[t.lemma]:
             bindings: dict[str, tuple[int, str]] = {}
             accepted = True
             for slot in frame.slots:

@@ -11,6 +11,7 @@ from xdoc.resources import (
     FrameSlot,
     Grammar,
     GrammarRule,
+    GrammaticalFunction,
     LemmaRule,
     Ontology,
     PatternItem,
@@ -44,23 +45,20 @@ def _ontology(rng: random.Random) -> Ontology:
     return Ontology(frozenset(concepts), isa, lexmap)
 
 
-def _grammar(rng: random.Random) -> tuple[Grammar, str]:
+def _grammar(rng: random.Random) -> Grammar:
     nonterminals = ["S", "NP", "VP"]
     terminals = ["P0", "P1", "P2"]
     rules = []
     n_rules = rng.randint(0, 4)
-    has_case = False
     for i in range(n_rules):
         lhs_features = {}
         if rng.random() < 0.3:
             lhs_features["case"] = rng.choice(["nom", "acc"])
-            has_case = True
         rhs = []
         for _ in range(rng.randint(1, 3)):
             features = {}
             if rng.random() < 0.2:
                 features["case"] = rng.choice(["nom", "acc", "gen"])
-                has_case = True
             rhs.append(Category(rng.choice(nonterminals + terminals), features))
         rules.append(
             GrammarRule(
@@ -70,8 +68,21 @@ def _grammar(rng: random.Random) -> tuple[Grammar, str]:
             )
         )
     start = rules[0].lhs.name if rules else ""
-    gf_mode = "case-marked" if has_case and rng.random() < 0.5 else "positional"
-    return Grammar(start, tuple(rules)), gf_mode
+    return Grammar(start, tuple(rules))
+
+
+def _functions(rng: random.Random) -> tuple[GrammaticalFunction, ...]:
+    """Declarations in both styles: placed by siblings, or marked by a feature."""
+    functions = []
+    for gf in rng.sample(["subject", "object"], rng.randint(0, 2)):
+        if rng.random() < 0.5:
+            features = {"case": rng.choice(["nom", "acc", _word(rng)])}
+            functions.append(GrammaticalFunction(gf, Category(_word(rng), features)))
+        else:
+            after = _word(rng) if rng.random() < 0.5 else None
+            before = _word(rng) if rng.random() < 0.5 else None
+            functions.append(GrammaticalFunction(gf, Category(_word(rng)), after, before))
+    return tuple(functions)
 
 
 def random_bundle(rng: random.Random) -> ResourceBundle:
@@ -91,7 +102,8 @@ def random_bundle(rng: random.Random) -> ResourceBundle:
             a, b = source_tags[0], source_tags[0] + "X"
         context_rules.append(ContextRule(a, b, rng.choice(sorted(TRIGGERS)), _word(rng)))
 
-    grammar, gf_mode = _grammar(rng)
+    grammar = _grammar(rng)
+    functions = _functions(rng)
     ontology = _ontology(rng)
 
     sem_lexicon = tuple(
@@ -127,7 +139,7 @@ def random_bundle(rng: random.Random) -> ResourceBundle:
         tagset_source=rng.choice(["PTB", "STTS", ""]),
         tagset_map={t: rng.choice(parser_tags) for t in source_tags if rng.random() < 0.8},
         grammar=grammar,
-        gf_mode=gf_mode,
+        functions=functions,
         lemma_rules=tuple(
             LemmaRule(_word(rng, 1, 2), rng.randint(0, 4)) for _ in range(rng.randint(0, 3))
         ),

@@ -169,7 +169,7 @@ def test_5_multilingual_sharing(en_bio_path, de_core_path, tmp_path):
                 assert not conditional.search(line), f"{path.name}:{lineno}: {line.strip()}"
 
 
-def test_6_positional_vs_case_marked_subjects(de_core):
+def test_6_positional_vs_case_marked_subjects(en_bio, de_core):
     with criterion("6 positional vs case-marked subjects"):
         doc = analyze_text(de_core, GERMAN_OVS)
         tree = doc.sentences[0].tree
@@ -179,8 +179,9 @@ def test_6_positional_vs_case_marked_subjects(de_core):
         def head_form(node):
             return mapped[node.head_leaf().start].token.form
 
-        case_marked = grammatical_functions(tree, "case-marked")
-        positional = grammatical_functions(tree, "positional")
+        # de-core declares its functions by case, en-bio by position
+        case_marked = grammatical_functions(tree, de_core.functions)
+        positional = grammatical_functions(tree, en_bio.functions)
         # post-verbal nominative NP is the subject under case marking
         assert head_form(case_marked["subject"]) == "Wirkstoff"
         assert (case_marked["subject"].start, case_marked["subject"].end) == (3, 5)

@@ -48,6 +48,23 @@ EN_GRAMMAR = Grammar(
 AMBIG_NP = grammar_of(("NP", ("NP", "NP")), ("NP", ("N",)))
 
 
+def _deep_tree(depth: int) -> ParseTree:
+    """(NP N (NP N ... (NP N N))): ``depth`` nested NPs over depth + 1 leaves."""
+    tree = ParseTree(Category("N"), depth, depth + 1)
+    for i in range(depth - 1, -1, -1):
+        tree = ParseTree(Category("NP"), i, depth + 1, (ParseTree(Category("N"), i, i + 1), tree))
+    return tree
+
+
+def test_render_bracketed_walks_a_deep_tree_without_recursion():
+    depth = 5000
+    tree = _deep_tree(depth)
+    assert render_bracketed(tree) == "(NP N " * depth + "N" + ")" * depth
+    forms = [f"w{i}" for i in range(depth + 1)]
+    expected = "".join(f"(NP (N w{i}) " for i in range(depth)) + f"(N w{depth})" + ")" * depth
+    assert render_bracketed(tree, forms) == expected
+
+
 def test_simple_sentence_chart_closure():
     chart = parse(["N", "V", "N"], EN_GRAMMAR)
     have = chart_spans(chart)
@@ -366,7 +383,7 @@ def assert_derivations_recheck(chart):
 def test_compiled_tables_are_per_grammar_object(de_core):
     base = de_core.grammar
     acc = next(
-        i for i, r in enumerate(base.rules) if r.lhs.feature("case") == "acc"
+        i for i, r in enumerate(base.rules) if ("case", "acc") in r.lhs.features
     )
     changed = base.rules[acc]
     variant = Grammar(

@@ -325,6 +325,25 @@ def test_emit_xml_escapes_every_attribute_value_exactly():
     assert xml == ESCAPED_XML
 
 
+def test_emit_xml_writes_a_deep_tree_without_recursion():
+    depth = 5000
+    tokens = tuple(Token(i, f"w{i}", 3 * i, 2) for i in range(depth + 1))
+    tagged = tuple(TaggedToken(token, "NN", "N") for token in tokens)
+    tree = ParseTree(Category("N"), depth, depth + 1)
+    for i in range(depth - 1, -1, -1):
+        tree = ParseTree(Category("NP"), i, depth + 1, (ParseTree(Category("N"), i, i + 1), tree))
+    analysis = SentenceAnalysis(Sentence(0, tokens), tagged=tagged, parse_input=tagged, tree=tree)
+    lines = emit_xml(AnnotatedDocument("en", tokens, [analysis])).splitlines()
+    parse_lines = lines[lines.index("    <parse>") + 1 : lines.index("    </parse>")]
+    expected = []
+    for i in range(depth):
+        pad = "      " + "  " * i
+        expected += [f'{pad}<node cat="NP">', f'{pad}  <node cat="N" ref="{i}"/>']
+    expected.append("      " + "  " * depth + f'<node cat="N" ref="{depth}"/>')
+    expected += ["      " + "  " * i + "</node>" for i in range(depth - 1, -1, -1)]
+    assert parse_lines == expected
+
+
 # -- relation table
 
 

@@ -14,6 +14,7 @@ from xdoc.resources import (
     FrameSlot,
     Grammar,
     GrammarRule,
+    GrammaticalFunction,
     Ontology,
     ResourceBundle,
     SemLexEntry,
@@ -102,12 +103,18 @@ def test_head_index_out_of_bounds_is_rejected():
         loads_bundle(doc)
 
 
-def test_case_marked_mode_requires_a_case_feature():
-    doc = """<resources lang="de"><grammar start="S" gf="case-marked">
-        <rule lhs="S" head="1"><cat name="N"/></rule>
-    </grammar></resources>"""
-    with pytest.raises(MalformedResource):
-        loads_bundle(doc)
+def test_declared_case_feature_must_occur_in_the_grammar():
+    doc = """<resources lang="de">
+      <taglexicon default="NN"/>
+      <tagmap><map from="NN" to="N"/></tagmap>
+      <grammar start="S"><rule lhs="S" head="1"><cat name="N"/></rule></grammar>
+      <functions><function gf="subject"><cat name="S" case="nom"/></function></functions>
+    </resources>"""
+    findings = validate_bundle(loads_bundle(doc))
+    assert [(f.code, f.location, f.detail) for f in findings] == [
+        ("UnknownFunctionFeature", "functions/function[subject]",
+         "feature case=nom is carried by no grammar category")
+    ]
 
 
 def test_validate_fixtures_clean(en_bio, de_core):
@@ -123,6 +130,7 @@ def test_validate_dangling_fill_concept():
     doc = """<resources lang="en">
       <taglexicon default="VBZ"/>
       <tagmap><map from="VBZ" to="V"/></tagmap>
+      <functions><function gf="subject" before="V"><cat name="V"/></function></functions>
       <semlex><entry lemma="inhibit" pos="V" semclass="x"/></semlex>
       <frames><frame id="f" predicate="inhibit" relation="r">
         <slot role="a" gf="subject" fill="enzymeX" required="true"/>
@@ -165,6 +173,47 @@ def test_validate_unknown_semlex_pos():
     </resources>"""
     findings = validate_bundle(loads_bundle(doc))
     assert [f.code for f in findings] == ["UnknownSemLexPos"]
+
+
+def test_validate_unknown_function_categories_and_undeclared_functions():
+    doc = """<resources lang="en">
+      <taglexicon default="NN"/>
+      <tagmap><map from="NN" to="N"/></tagmap>
+      <grammar start="S"><rule lhs="S" head="1"><cat name="N"/></rule></grammar>
+      <functions><function gf="object" after="V" before="N"><cat name="NP"/></function></functions>
+      <semlex><entry lemma="x" pos="N" semclass="c"/></semlex>
+      <frames><frame id="f" predicate="x" relation="r">
+        <slot role="a" gf="subject" fill="c" required="true"/>
+        <slot role="b" gf="object" fill="c" required="true"/>
+      </frame></frames>
+      <ontology><concept id="c"/></ontology>
+    </resources>"""
+    findings = validate_bundle(loads_bundle(doc))
+    assert [(f.code, f.location, f.detail) for f in findings] == [
+        ("UndeclaredFunction", "frames/frame[f]/slot[a]",
+         "grammatical function 'subject' has no declaration"),
+        ("UnknownFunctionCategory", "functions/function[object]",
+         "category 'NP' is neither a rule lhs nor a parser tag"),
+        ("UnknownFunctionCategory", "functions/function[object]",
+         "category 'V' is neither a rule lhs nor a parser tag"),
+    ]
+
+
+def test_shipped_bundles_write_their_functions_after_the_grammar(en_bio, de_core):
+    en, de = serialize_bundle(en_bio), serialize_bundle(de_core)
+    assert '  <grammar start="S">\n' in en and '  <grammar start="S">\n' in de
+    assert en.split("</grammar>\n")[1].startswith(
+        "  <functions>\n"
+        '    <function gf="subject" before="VP"><cat name="NP"/></function>\n'
+        '    <function gf="object" after="V"><cat name="NP"/></function>\n'
+        "  </functions>\n"
+    )
+    assert de.split("</grammar>\n")[1].startswith(
+        "  <functions>\n"
+        '    <function gf="subject"><cat name="NP" case="nom"/></function>\n'
+        '    <function gf="object"><cat name="NP" case="acc"/></function>\n'
+        "  </functions>\n"
+    )
 
 
 def test_validate_unknown_pattern_category():
@@ -338,7 +387,7 @@ BAD_DOCUMENTS = [
     ('<resources lang="en"><rules><rule from="A" to="B" trigger="sideways" value="X"/></rules></resources>', "trigger"),
     ('<resources lang="en"><rules><rule from="A" to="B" trigger="prev_tag" value=""/></rules></resources>', "non-empty"),
     ('<resources lang="en"><tagmap><map from="A" to="X"/><map from="A" to="Y"/></tagmap></resources>', "duplicate mapping"),
-    ('<resources lang="en"><grammar start="S" gf="sideways"><rule lhs="S" head="1"><cat name="A"/></rule></grammar></resources>', "gf mode"),
+    ('<resources lang="en"><functions><function gf="sideways"><cat name="NP"/></function></functions></resources>', "grammatical function"),
     ('<resources lang="en"><grammar start="S" gf="positional"><rule lhs="S" head="x"><cat name="A"/></rule></grammar></resources>', "integer"),
     ('<resources lang="en"><grammar start="X" gf="positional"><rule lhs="S" head="1"><cat name="A"/></rule></grammar></resources>', "start symbol"),
     ('<resources lang="en"><grammar start="S" gf="positional"><rule lhs="S" head="1"><cat name="A" lhs="x"/></rule></grammar></resources>', "reserved"),
@@ -381,7 +430,7 @@ EXACT_MESSAGES = [
             "rules/rule[1]: unknown trigger 'sideways'",
             "rules/rule[1]: trigger value must be non-empty",
             "tagmap/map[2]: duplicate mapping for source tag 'A'",
-            "grammar: unknown gf mode 'sideways'",
+            "functions/function[1]: unknown grammatical function 'sideways'",
             "grammar/rule[1]: attribute 'head' is not an integer: 'x'",
             "grammar: start symbol 'X' is not a rule left-hand side",
             "grammar/rule[1]/cat[1]: feature keys ['lhs'] are reserved",
@@ -466,6 +515,18 @@ EXACT_MESSAGES = [
         ),
         "semlex/entry[2]: duplicate entry for ('a', 'N')",
     ),
+    (
+        _in_bundle('<functions><function gf="subject"/></functions>'),
+        "functions/function[1]: expected one <cat>, got 0",
+    ),
+    (
+        _in_bundle('<functions><function before="VP"><cat name="NP"/></function></functions>'),
+        "functions/function[1]: missing required attribute 'gf'",
+    ),
+    (
+        _in_bundle('<functions><function gf="object"><cat name="NP" cat="x"/></function></functions>'),
+        "functions/function[1]: feature keys ['cat'] are reserved",
+    ),
     # Past the first record of each reader that forms its location only
     # when it refuses a record.
     (
@@ -549,22 +610,28 @@ def test_type_constructor_guards():
     with pytest.raises(ValueError):
         GrammarRule(Category("S"), (), 1)
     with pytest.raises(ValueError):
-        ResourceBundle(lang="en", gf_mode="sideways")
+        GrammaticalFunction("sideways", Category("NP"))
 
 
 def test_constructors_refuse_what_the_loader_refuses():
     rules = (GrammarRule(Category("S"), (Category("N"),), 1),)
     with pytest.raises(ValueError, match="start symbol 'X' is not a rule left-hand side"):
         Grammar("X", rules)
-    with pytest.raises(ValueError, match="case-marked mode requires"):
-        ResourceBundle(lang="en", gf_mode="case-marked")
-    with pytest.raises(ValueError, match="case-marked mode requires"):
-        ResourceBundle(lang="de", grammar=Grammar("S", rules), gf_mode="case-marked")
+    twice = (GrammaticalFunction("subject", Category("NP"), before="VP"),
+             GrammaticalFunction("subject", Category("NP", {"case": "nom"})))
+    with pytest.raises(ValueError, match="more than one declaration of 'subject'"):
+        ResourceBundle(lang="en", functions=twice)
+    with pytest.raises(ValueError, match="more than one declaration of 'subject'"):
+        ResourceBundle(lang="de", grammar=Grammar("S", rules), functions=twice[::-1])
     with pytest.raises(MalformedResource) as exc:
-        loads_bundle('<resources lang="de"><grammar start="S" gf="case-marked"/></resources>')
-    assert str(exc.value) == (
-        "grammar: case-marked mode requires at least one category with a case feature"
-    )
+        loads_bundle(
+            '<resources lang="de"><functions>'
+            '<function gf="object"><cat name="NP"/></function>'
+            '<function gf="subject" before="VP"><cat name="NP"/></function>'
+            '<function gf="subject"><cat name="NP" case="nom"/></function>'
+            "</functions></resources>"
+        )
+    assert str(exc.value) == "functions/function[3]: more than one declaration of 'subject'"
 
 
 def test_serializer_rejects_reserved_feature_keys():
@@ -620,9 +687,11 @@ def _slot(role: str, gf: str) -> FrameSlot:
          ValueError, "more than one slot with gf 'subject'"),
         (lambda: CaseFrame("f", "p", "r", (_slot("a", "subject"), _slot("a", "object"))),
          ValueError, "duplicate role 'a'"),
+        (lambda: GrammaticalFunction("subject", Category("NP", {"name": "x"})),
+         ValueError, r"feature keys \['name'\] are reserved"),
     ],
     ids=["untagged-form", "semlex-pair", "isa-target", "isa-source", "lexmap-target",
-         "isa-cycle", "slot-gf", "slot-role"],
+         "isa-cycle", "slot-gf", "slot-role", "function-cat"],
 )
 def test_constructors_refuse_what_the_loader_refuses_in_code(build, error, message):
     with pytest.raises(error, match=message):

@@ -1,14 +1,23 @@
 from __future__ import annotations
 
+import ast
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import xdoc.semantics
 from xdoc.errors import UnknownConcept
 from xdoc.parsing import ParseTree, complete_parses, parse
-from xdoc.resources import Category, Ontology, PatternItem, StructPattern
+from xdoc.resources import (
+    Category,
+    GrammaticalFunction,
+    Ontology,
+    PatternItem,
+    StructPattern,
+)
 from xdoc.semantics import (
     grammatical_functions,
     instantiate_frames,
@@ -170,22 +179,34 @@ def svo_tree() -> ParseTree:
     )
 
 
+# The two declaration styles the shipped bundles use: en-bio places its
+# functions around the verb, de-core marks them by case.
+POSITIONAL = (
+    GrammaticalFunction("subject", Category("NP"), before="VP"),
+    GrammaticalFunction("object", Category("NP"), after="V"),
+)
+CASE_MARKED = (
+    GrammaticalFunction("subject", Category("NP", {"case": "nom"})),
+    GrammaticalFunction("object", Category("NP", {"case": "acc"})),
+)
+
+
 def test_positional_subject_and_object():
-    functions = grammatical_functions(svo_tree(), "positional")
+    functions = grammatical_functions(svo_tree(), POSITIONAL)
     assert (functions["subject"].start, functions["subject"].end) == (0, 1)
     assert (functions["object"].start, functions["object"].end) == (2, 3)
 
 
 def test_positional_without_object():
     tree = node("S", [node("NP", [leaf("N", 0)]), node("VP", [leaf("V", 1)])], head=1)
-    functions = grammatical_functions(tree, "positional")
+    functions = grammatical_functions(tree, POSITIONAL)
     assert "subject" in functions
     assert "object" not in functions
 
 
 def test_positional_without_vp_binds_nothing():
     tree = node("S", [node("NP", [leaf("N", 0)])])
-    assert grammatical_functions(tree, "positional") == {}
+    assert grammatical_functions(tree, POSITIONAL) == {}
 
 
 def test_case_marked_subject_found_postverbally():
@@ -200,9 +221,67 @@ def test_case_marked_subject_found_postverbally():
         ],
         head=1,
     )
-    functions = grammatical_functions(tree, "case-marked")
+    functions = grammatical_functions(tree, CASE_MARKED)
     assert (functions["subject"].start, functions["subject"].end) == (3, 5)
     assert (functions["object"].start, functions["object"].end) == (0, 2)
+
+
+def test_first_node_in_preorder_binds_and_the_root_has_no_siblings():
+    inner = node("NP", [node("NP", [leaf("N", 0)], case="nom"), leaf("X", 1)], case="nom")
+    tree = node("NP", [inner, leaf("VP", 2)], case="nom")
+    by_case = grammatical_functions(tree, CASE_MARKED[:1])
+    assert by_case["subject"] is tree
+    # the root cannot meet a sibling condition, so its first child binds
+    placed = grammatical_functions(tree, POSITIONAL[:1])
+    assert placed["subject"] is inner
+    # a declared feature must be carried with its value
+    assert grammatical_functions(tree, CASE_MARKED[1:]) == {}
+    # one node may bind several functions
+    both = (GrammaticalFunction("subject", Category("X")),
+            GrammaticalFunction("object", Category("X"), after="NP"))
+    assert grammatical_functions(tree, both) == {"subject": inner.children[1],
+                                                  "object": inner.children[1]}
+
+
+def test_functions_bind_in_a_deep_tree_without_recursion():
+    tree = leaf("N", 0)
+    for _ in range(5000):
+        tree = node("NP", [tree, leaf("V", 0)])
+    functions = grammatical_functions(tree, (GrammaticalFunction("object", Category("V"),
+                                                                 after="N"),))
+    assert functions["object"].category.name == "V"
+
+
+def _shipped_names(*bundles) -> set[str]:
+    """Every category name, feature key and feature value of ``bundles``."""
+    names = set()
+    for bundle in bundles:
+        names |= set(bundle.tagset_map.values())
+        cats = [cat for rule in bundle.grammar.rules for cat in (rule.lhs, *rule.rhs)]
+        cats += [function.category for function in bundle.functions]
+        for cat in cats:
+            names.add(cat.name)
+            names.update(item for pair in cat.features for item in pair)
+        names.update(name for function in bundle.functions
+                     for name in (function.after, function.before) if name)
+    return names
+
+
+def test_semantics_module_names_no_language(en_bio, de_core):
+    tree = ast.parse(Path(xdoc.semantics.__file__).read_text(encoding="utf-8"))
+    docstrings = set()
+    for holder in [tree, *ast.walk(tree)]:
+        if isinstance(holder, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+            body = holder.body
+            if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+                docstrings.add(id(body[0].value))
+    constants = {
+        c.value for c in ast.walk(tree)
+        if isinstance(c, ast.Constant) and isinstance(c.value, str) and id(c) not in docstrings
+    }
+    names = _shipped_names(en_bio, de_core)
+    assert {"NP", "VP", "V", "case", "nom", "acc"} <= names
+    assert not constants & names, sorted(constants & names)
 
 
 # -- frame instantiation
@@ -256,7 +335,7 @@ def test_verb_without_frame_yields_nothing(en_bio):
 
 
 def test_missing_required_slot_is_diagnosed(en_bio):
-    # no VP means no subject/object bindings in positional mode
+    # no VP or NP sibling means no subject/object bindings under en-bio's declarations
     tree = node("NP", [leaf("N", 0), leaf("V", 1)])
     mapped = semantic_tag(tagged_of(("x", "N"), ("inhibits", "V")), en_bio)
     instances, diagnostics = instantiate_frames(tree, mapped, en_bio)
