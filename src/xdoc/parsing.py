@@ -21,24 +21,26 @@ that grammar object.  Nodes are numbered in creation order, the first
 Each active edge meets each passive node once, so no derivation is
 made twice and none needs a duplicate check.  A new active edge is
 stamped with the number of nodes made so far and meets at once the
-passives it can extend, all of which have smaller ids.  When the
-agenda later takes node P, only the edges waiting for it whose stamp
-is at most P's id meet it; stamps never decrease along a waiting
-list, so that walk stops at the first later edge, which met P when it
-was made.
+passives it can extend, all of which have smaller ids; an explicit
+stack works these meetings depth-first.  When the agenda later takes
+node P, only the edges waiting for it whose stamp is at most P's id
+meet it; stamps never decrease along a waiting list, so that walk stops
+at the first later edge, which met P when it was made.
 
 Because the chart is built bottom-up without top-down filtering it
 keeps every constituent, which the chunk fallback exploits when no
 complete parse exists.
 
-One reader, :func:`_trees`, reads trees off the chart: a node's trees in
-derivation order (rule index, then child spans), cutting any derivation
-through a node already on the path, and stopping at an optional limit.
-:func:`first_parse` reads the start symbol's first tree, at the cost of
-that tree's size; :func:`chunks` reads one tree per chosen constituent.
-Only :func:`complete_parses`, which lists every tree, has an ambiguity
-policy: it first counts the trees with :func:`_count_trees`, which
-gives up past ``TREE_LIMIT``, and only then reads them all.
+:func:`parse` charts any grammar, but the readers raise
+:class:`ResourceError` unless it has no unary rule cycle, as validation
+demands.  Its charts are acyclic: every node has a tree and none recurs
+within one, so no reader backtracks.  Trees come in derivation order
+(rule index, then child spans).  :func:`first_parse` and :func:`chunks`
+read first trees, at the cost of their size.  Only
+:func:`complete_parses` lists every tree, in one post-order walk whose
+per-node lists stop at ``TREE_LIMIT``: no node has more trees than a
+root above it.  Every walk keeps an explicit stack, so no input depth
+meets the recursion limit.
 Trees are :class:`ParseTree` values, a :class:`typing.NamedTuple`
 built once per tree node: immutable and hashable, and, being a tuple,
 a tree unpacks, has a ``len`` and equals a plain tuple of its fields.
@@ -48,9 +50,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import EmptyInput, TooAmbiguous
+from .errors import EmptyInput, ResourceError, TooAmbiguous
 from .resources import Category, Grammar
 
 __all__ = [
@@ -178,7 +180,7 @@ def parse(
     parents = compiled.parents
 
     # Node ids by (category id, start, end), and per node id the category
-    # id and end that every advance reads; needed only while parsing.
+    # id and end that every meeting reads; needed only while parsing.
     by_key: dict[tuple[int, int, int], int] = {}
     node_cat: list[int] = []
     node_end: list[int] = []
@@ -197,150 +199,112 @@ def parse(
         by_start_name.setdefault((start, category.name), []).append(node_id)
         by_start.setdefault(start, []).append(node_id)
 
-    def advance(rule: int, start: int, children: tuple[int, ...], node_id: int) -> None:
-        dot = len(children)
-        cat = node_cat[node_id]
-        match_key = (rule, dot, cat)
-        matched = matches.get(match_key)
-        if matched is None:
-            matched = matches[match_key] = features_match(rules[rule].rhs[dot], categories[cat])
-        if not matched:
-            return
-        children += (node_id,)
-        edge = (rule, children)
-        end = node_end[node_id]
-        if dot == last_dot[rule]:
-            head = node_cat[children[heads[rule]]]
-            parent_key = (rule, head)
-            parent = parents.get(parent_key)
-            if parent is None:
-                parent = parents[parent_key] = intern(
-                    _parent_category(rules[rule].lhs, categories[head])
-                )
-            packed = by_key.get((parent, start, end))
-            if packed is None:
-                add_node(parent, start, end, edge)
-            else:
-                nodes[packed].derivations.append(edge)
-            return
-        needed = (end, rhs_names[rule][dot + 1])
-        waiting.setdefault(needed, []).append((len(nodes), rule, start, children))
-        # The fundamental rule with every passive made so far.  Nodes
-        # made below start at ``start`` < end, so this list cannot grow
-        # while it is walked.
-        for passive in by_start_name.get(needed, ()):
-            advance(rule, start, children, passive)
-
     for i, cat in enumerate(terminals):  # node i is the leaf at position i
         add_node(cat, i, i + 1, (None, ()))
 
-    # The agenda is FIFO over new nodes, which is node id order.
+    # The agenda is FIFO over new nodes, which is node id order.  Taking
+    # node P makes a stack of meetings (rule index, start, children,
+    # passive id): the rules whose first symbol P can fill, then the
+    # edges waiting for P.  Edges stamped after P was made have met it
+    # already.  Edges made below wait at positions after P's start, so
+    # that waiting list does not grow while the stack is worked.
     node_id = 0
     while node_id < len(nodes):
         node = nodes[node_id]
         name = node.category.name
-        for rule in rules_by_first.get(name, ()):
-            advance(rule, node.start, (), node_id)
-        # Edges stamped after this node was made have met it already.
-        # Edges made below wait at positions after node.start, so this
-        # list cannot grow while it is walked either.
+        todo = [(rule, node.start, (), node_id) for rule in rules_by_first.get(name, ())]
         for stamp, rule, start, children in waiting.get((node.start, name), ()):
             if stamp > node_id:
                 break
-            advance(rule, start, children, node_id)
+            todo.append((rule, start, children, node_id))
+        todo.reverse()
+        while todo:
+            rule, start, children, passive = todo.pop()
+            dot = len(children)
+            cat = node_cat[passive]
+            match_key = (rule, dot, cat)
+            matched = matches.get(match_key)
+            if matched is None:
+                matched = matches[match_key] = features_match(rules[rule].rhs[dot], categories[cat])
+            if not matched:
+                continue
+            children += (passive,)
+            end = node_end[passive]
+            if dot == last_dot[rule]:
+                head = node_cat[children[heads[rule]]]
+                parent_key = (rule, head)
+                parent = parents.get(parent_key)
+                if parent is None:
+                    parent = parents[parent_key] = intern(
+                        _parent_category(rules[rule].lhs, categories[head])
+                    )
+                packed = by_key.get((parent, start, end))
+                if packed is None:
+                    add_node(parent, start, end, (rule, children))
+                else:
+                    nodes[packed].derivations.append((rule, children))
+                continue
+            needed = (end, rhs_names[rule][dot + 1])
+            waiting.setdefault(needed, []).append((len(nodes), rule, start, children))
+            # The fundamental rule with every passive made so far, each
+            # worked out before the next.  Nodes made meanwhile start at
+            # ``start`` < end, so this list does not grow either.
+            passives = by_start_name.get(needed)
+            if passives:
+                todo += [(rule, start, children, p) for p in reversed(passives)]
         node_id += 1
 
-    # advance refers to itself; breaking that cycle frees the work
-    # tables now instead of at the next cyclic collection.
-    del advance
     return chart
 
 
-def _sorted_derivations(chart: Chart, node: _Node) -> list[Derivation]:
-    """Derivations by rule index, then child spans, ties in chart order."""
-    derivations = node.derivations
-    if len(derivations) == 1:
-        return derivations
-    nodes = chart.nodes
-
-    def key(deriv: Derivation) -> tuple:
-        rule_idx, children = deriv
-        spans = tuple((nodes[c].start, nodes[c].end) for c in children)
-        return (-1 if rule_idx is None else rule_idx, spans)
-
-    return sorted(derivations, key=key)
+def _readable(chart: Chart) -> list[_Node]:
+    """The chart's nodes; :class:`ResourceError` if its grammar has a unary cycle."""
+    cycle = chart.grammar.compiled.cycle_rules
+    if cycle:
+        lhs = chart.grammar.rules[cycle[0]].lhs.name
+        where = f"grammar/rule[{cycle[0] + 1}]"
+        raise ResourceError(f"{where}: unary cycle through {lhs!r}; no tree is read")
+    return chart.nodes
 
 
-def _count_trees(chart: Chart, node: _Node, memo: dict[int, int], path: set[int]) -> int:
-    if node.id in memo:
-        return memo[node.id]
-    if node.id in path:
-        return 0  # cyclic derivation; such grammars are rejected at validation
-    path.add(node.id)
-    total = 0
-    for rule_idx, children in node.derivations:
-        if rule_idx is None:
-            total += 1
-            continue
-        product = 1
-        for child_id in children:
-            product *= _count_trees(chart, chart.node(child_id), memo, path)
-            if product > TREE_LIMIT:
-                break
-        total += product
-        if total > TREE_LIMIT:
-            total = TREE_LIMIT + 1
-            break
-    path.discard(node.id)
-    memo[node.id] = total
-    return total
+def _order(nodes: list[_Node]) -> Callable[[Derivation], tuple]:
+    """The sort key of a node's derivations: rule index, then child spans.
 
-
-def _trees(
-    chart: Chart,
-    node: _Node,
-    memo: dict[int, list[ParseTree]] | None,
-    path: set[int],
-    limit: int | None = None,
-) -> list[ParseTree]:
-    """``node``'s trees in derivation order, at most ``limit`` of them.
-
-    A derivation through a node already on ``path`` is cut.  With a
-    ``memo`` each node is read once and that first reading is reused
-    wherever the node recurs, so one memo serves one ``limit``.  Without
-    one, what a cut removes depends only on the current path; one tree
-    visits each node of an acyclic chart once, so it needs no memo.
+    Children tile their parent's span, so their ends decide their spans.
+    Only a leaf has the derivation without a rule, and it has no other.
     """
-    node_id = node.id
-    if memo is not None and node_id in memo:
-        return memo[node_id]
-    if node_id in path:
-        return []
-    path.add(node_id)
-    trees: list[ParseTree] = []
-    for rule_idx, children in _sorted_derivations(chart, node):
-        if rule_idx is None:
-            trees.append(ParseTree(node.category, node.start, node.end))
-        else:
-            child_lists = []
-            for child in children:
-                child_lists.append(_trees(chart, chart.nodes[child], memo, path, limit))
-            head = chart.grammar.rules[rule_idx].head - 1
-            for combo in itertools.product(*child_lists):
-                trees.append(ParseTree(node.category, node.start, node.end, combo, head, rule_idx))
-                if len(trees) == limit:
-                    break
-        if len(trees) == limit:
-            break
-    path.discard(node_id)
-    if memo is not None:
-        memo[node_id] = trees
-    return trees
+    return lambda deriv: (deriv[0], [nodes[child].end for child in deriv[1]])
+
+
+def _first_tree(chart: Chart, root: _Node) -> ParseTree:
+    """``root``'s first tree: each node's least derivation, the earliest on ties."""
+    nodes = chart.nodes
+    rules = chart.grammar.rules
+    key = _order(nodes)
+    built: list[ParseTree] = []  # finished subtrees, siblings in order
+    stack: list[tuple[_Node, Derivation | None]] = [(root, None)]
+    while stack:
+        node, deriv = stack.pop()
+        if deriv is None:  # first visit: choose the derivation, then read its children
+            derivations = node.derivations
+            deriv = derivations[0] if len(derivations) == 1 else min(derivations, key=key)
+            if deriv[0] is None:
+                built.append(ParseTree(node.category, node.start, node.end))
+            else:
+                stack.append((node, deriv))
+                stack.extend((nodes[child], None) for child in reversed(deriv[1]))
+            continue
+        rule_idx, children = deriv
+        kids = tuple(built[-len(children):])
+        del built[-len(children):]
+        head = rules[rule_idx].head - 1
+        built.append(ParseTree(node.category, node.start, node.end, kids, head, rule_idx))
+    return built[0]
 
 
 def _roots(chart: Chart, start_symbol: str) -> list[_Node]:
     """The start symbol's nodes over the full span, in id order."""
-    nodes = chart.nodes
+    nodes = _readable(chart)
     from_zero = chart._by_start_name.get((0, start_symbol), ())  # ids ascend, as in chart.nodes
     return [nodes[i] for i in from_zero if nodes[i].end == chart.length]
 
@@ -351,11 +315,8 @@ def first_parse(chart: Chart, start_symbol: str) -> ParseTree | None:
     Reads one tree, however many the chart packs; never raises
     :class:`TooAmbiguous`.
     """
-    for node in _roots(chart, start_symbol):
-        first = _trees(chart, node, None, set(), 1)
-        if first:
-            return first[0]
-    return None
+    roots = _roots(chart, start_symbol)
+    return _first_tree(chart, roots[0]) if roots else None
 
 
 def complete_parses(chart: Chart, start_symbol: str) -> list[ParseTree]:
@@ -365,47 +326,58 @@ def complete_parses(chart: Chart, start_symbol: str) -> list[ParseTree]:
     spans).  Raises :class:`TooAmbiguous` beyond ``TREE_LIMIT`` trees.
     """
     roots = _roots(chart, start_symbol)
-    count_memo: dict[int, int] = {}
-    total = sum(_count_trees(chart, node, count_memo, set()) for node in roots)
-    if total > TREE_LIMIT:
+    nodes = chart.nodes
+    rules = chart.grammar.rules
+    key = _order(nodes)
+    trees_of: dict[int, list[ParseTree]] = {}
+    stack = [node.id for node in roots]
+    while stack:  # post-order: a node's lists are built after its children's
+        node_id = stack[-1]
+        if node_id in trees_of:
+            stack.pop()
+            continue
+        node = nodes[node_id]
+        unread = [c for _, children in node.derivations for c in children if c not in trees_of]
+        if unread:
+            stack.extend(unread)
+            continue
+        stack.pop()
+        trees: list[ParseTree] = []
+        for rule_idx, children in sorted(node.derivations, key=key):
+            if rule_idx is None:
+                trees.append(ParseTree(node.category, node.start, node.end))
+                continue
+            head = rules[rule_idx].head - 1
+            for combo in itertools.product(*(trees_of[c] for c in children)):
+                if len(trees) == TREE_LIMIT:
+                    raise TooAmbiguous(TREE_LIMIT)
+                trees.append(ParseTree(node.category, node.start, node.end, combo, head, rule_idx))
+        trees_of[node_id] = trees
+    listed = [tree for node in roots for tree in trees_of[node.id]]
+    if len(listed) > TREE_LIMIT:
         raise TooAmbiguous(TREE_LIMIT)
-    trees: list[ParseTree] = []
-    memo: dict[int, list[ParseTree]] = {}
-    for node in roots:
-        trees.extend(_trees(chart, node, memo, set()))
-    return trees
+    return listed
 
 
 def chunks(chart: Chart) -> list[ParseTree]:
     """Greedy left-to-right cover by maximal constituents.
 
     At each position the longest passive constituent starting there is
-    taken (ties broken by grammar rule order, then chart order); where
-    none exists the bare terminal is emitted.  The result covers the
-    whole span without overlap.
+    taken (ties broken by grammar rule order, then chart order) and read
+    as its first tree; where none exists the bare terminal is emitted.
+    The result covers the whole span without overlap.
     """
-    nodes = chart.nodes
+    nodes = _readable(chart)
     out: list[ParseTree] = []
     pos = 0
     while pos < chart.length:
-        # The least (-end, least rule index, id) among the nodes starting
-        # here that some rule derives; ids ascend along the list.
-        best = None
-        best_rank = None
-        for node_id in chart._by_start[pos]:
-            node = nodes[node_id]
-            rule = min((r for r, _ in node.derivations if r is not None), default=None)
-            if rule is not None and (best_rank is None or (-node.end, rule) < best_rank):
-                best, best_rank = node, (-node.end, rule)
-        if best is not None:
-            first = _trees(chart, best, None, set(), 1)
-            if first:
-                out.append(first[0])
-                pos = best.end
-                continue
-        leaf = chart.node(pos)
-        out.append(ParseTree(leaf.category, leaf.start, leaf.end))
-        pos += 1
+        # The least (-end, least rule index, id) among the constituents
+        # starting here, after the leaf at ``pos``, which comes first.
+        ranks = [(-nodes[i].end, min(r for r, _ in nodes[i].derivations), i)
+                 for i in chart._by_start[pos][1:]]
+        node = nodes[min(ranks)[2]] if ranks else nodes[pos]
+        out.append(_first_tree(chart, node))
+        pos = node.end
     return out
 
 

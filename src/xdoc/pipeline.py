@@ -228,6 +228,8 @@ def analyze_text(
 ) -> AnnotatedDocument:
     """Run the stage prefix over raw text with an already loaded bundle.
 
+    The bundle is expected to pass :func:`validate_bundle`; a grammar with
+    a unary rule cycle makes the parse stage raise :class:`ResourceError`.
     Raises :class:`InputError` for a character that XML cannot carry and
     that could end up in a token: a C0 control other than whitespace,
     U+FFFE, U+FFFF or a lone surrogate.

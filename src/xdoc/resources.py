@@ -132,6 +132,8 @@ class CompiledGrammar:
 
     ``rules_by_first`` lists rule indices by the name of their first rhs
     symbol; ``rhs_names`` and ``heads`` (0-based) give each rule's shape.
+    ``cycle_rules`` lists the rules on a unary rule cycle, whose charts
+    the tree readers refuse.
     Categories are interned: :meth:`intern` gives each distinct category
     (name plus feature items) a small int the first time a parse meets
     it, and ``categories`` maps the id back to the :class:`Category`.
@@ -148,6 +150,7 @@ class CompiledGrammar:
     rules_by_first: dict[str, tuple[int, ...]]
     rhs_names: tuple[tuple[str, ...], ...]
     heads: tuple[int, ...]
+    cycle_rules: tuple[int, ...]
     categories: list[Category] = field(default_factory=list)
     category_ids: dict[tuple, int] = field(default_factory=dict)
     matches: dict[tuple[int, int, int], bool] = field(default_factory=dict)
@@ -172,6 +175,32 @@ class CompiledGrammar:
         return cat_id
 
 
+def _unary_cycle_rules(rules: Sequence[GrammarRule]) -> list[int]:
+    """Indices of the unary rules whose lhs their rhs derives by unary rules.
+
+    Names alone decide, and a chart node can derive itself only through
+    unary derivations over its own span, so a grammar without such a
+    rule makes acyclic charts.
+    """
+    unary: dict[str, list[str]] = {}
+    for rule in rules:
+        if len(rule.rhs) == 1:
+            unary.setdefault(rule.lhs.name, []).append(rule.rhs[0].name)
+    cyclic = []
+    for idx, rule in enumerate(rules):
+        if len(rule.rhs) == 1:
+            seen: set[str] = set()
+            frontier = [rule.rhs[0].name]
+            while frontier:
+                name = frontier.pop()
+                if name not in seen:
+                    seen.add(name)
+                    frontier += unary.get(name, ())
+            if rule.lhs.name in seen:
+                cyclic.append(idx)
+    return cyclic
+
+
 @dataclass(frozen=True)
 class Grammar:
     start_symbol: str = ""
@@ -191,6 +220,7 @@ class Grammar:
             {name: tuple(ids) for name, ids in by_first.items()},
             tuple(tuple(cat.name for cat in rule.rhs) for rule in self.rules),
             tuple(rule.head - 1 for rule in self.rules),
+            tuple(_unary_cycle_rules(self.rules)),
         )
 
     def lhs_names(self) -> set[str]:
@@ -460,6 +490,13 @@ def _children(elem: ET.Element, allowed: Container[str]) -> list[ET.Element]:
     return children
 
 
+def _refuse_unknown(elem: ET.Element, declared: Container[str]) -> None:
+    """ValueError naming the first attribute of ``elem`` not in ``declared``."""
+    unknown = [attr for attr in elem.attrib if attr not in declared]
+    if unknown:
+        raise ValueError(f"unknown attribute {unknown[0]!r}")
+
+
 def _int_attr(elem: ET.Element, attr: str) -> int:
     raw = _require(elem, attr)
     try:
@@ -524,13 +561,15 @@ def _attr_text(value: object) -> str:
 
 class _Record(NamedTuple):
     """A record element: its tag, the class it builds, its (attribute,
-    field, reader) triples in canonical attribute order, and the position
-    among the class's fields of the one read from child elements."""
+    field, reader) triples in canonical attribute order, the position
+    among the class's fields of the one read from child elements, and
+    how many of its attributes are required."""
 
     tag: str
     cls: type
     attrs: tuple[tuple[str, str, Callable[[ET.Element, str], object]], ...]
     children_at: int
+    required: int
 
 
 def _record(tag: str, cls: type, **attrs: str) -> _Record:
@@ -544,7 +583,8 @@ def _record(tag: str, cls: type, **attrs: str) -> _Record:
         raise TypeError(f"<{tag}> attributes must follow the fields of {cls.__name__}")
     triples = tuple((attr, name, _READERS[types[name]]) for name, attr in attrs.items())
     children_at = next((i for i, name in enumerate(types) if name not in attrs), len(types))
-    return _Record(tag, cls, triples, children_at)
+    required = sum(types[name] != "str | None" for name in attrs)
+    return _Record(tag, cls, triples, children_at, required)
 
 
 # The record table.  Functions, frames and patterns declare their header
@@ -570,14 +610,17 @@ def _read_records(elem: ET.Element, record: _Record, read_children=None) -> list
     """The children of ``elem`` built as ``record`` instances, in order.
 
     ``read_children(child)`` gives the field that a record reads from its
-    own child elements.  A child that cannot be built is refused at
-    ``{tag}[i]``, or below it for a fault in its own children.
+    own child elements.  A child that cannot be built, or that carries an
+    attribute the record does not declare, is refused at ``{tag}[i]``, or
+    below it for a fault in its own children.
     """
-    cls, attrs, children_at = record.cls, record.attrs, record.children_at
+    cls, attrs, children_at, required = record.cls, record.attrs, record.children_at, record.required
     items = []
     for i, child in enumerate(_children(elem, (record.tag,)), 1):
         try:
             values = [read(child, attr) for attr, _, read in attrs]
+            if len(child.attrib) > required:  # more than the required ones, read above
+                _refuse_unknown(child, [attr for attr, _, _ in attrs])
             if read_children is not None:
                 values.insert(children_at, read_children(child))
             items.append(cls(*values))
@@ -706,6 +749,7 @@ def _read_rule(elem: ET.Element) -> GrammarRule:
 
 def _read_grammar(elem: ET.Element) -> dict:
     start = _require(elem, "start")
+    _refuse_unknown(elem, ("start",))
     rules = []
     for i, child in enumerate(_children(elem, {"rule"}), 1):
         try:
@@ -967,31 +1011,11 @@ def validate_bundle(bundle: ResourceBundle) -> list[Finding]:
                 )
             )
 
-    unary: dict[str, set[str]] = {}
-    for rule in bundle.grammar.rules:
-        if len(rule.rhs) == 1 and rule.rhs[0].name in lhs_names:
-            unary.setdefault(rule.lhs.name, set()).add(rule.rhs[0].name)
-    for idx, rule in enumerate(bundle.grammar.rules, 1):
-        if len(rule.rhs) != 1 or rule.rhs[0].name not in lhs_names:
-            continue
-        # The rule is on a cycle when its lhs is reachable back from its rhs.
-        seen = set()
-        frontier = {rule.rhs[0].name}
-        while frontier:
-            node = frontier.pop()
-            if node == rule.lhs.name:
-                findings.append(
-                    _finding(
-                        "UnaryRuleCycle",
-                        f"grammar/rule[{idx}]",
-                        f"unary cycle through {rule.lhs.name!r}",
-                    )
-                )
-                break
-            if node in seen:
-                continue
-            seen.add(node)
-            frontier |= unary.get(node, set())
+    for idx in _unary_cycle_rules(bundle.grammar.rules):
+        lhs = bundle.grammar.rules[idx].lhs.name
+        findings.append(
+            _finding("UnaryRuleCycle", f"grammar/rule[{idx + 1}]", f"unary cycle through {lhs!r}")
+        )
 
     for form, tags in bundle.tag_lexicon.items():  # the closing sort orders the report
         for tag in tags:

@@ -2,8 +2,10 @@
 
 ``reference_parser`` is the parser as it was before categories were
 interned.  Both charts must hold the same nodes in the same order (same
-id, category, span and derivation list), and the tree readers must give
-the same trees, chunk covers and ``TooAmbiguous`` verdicts on them.
+id, category, span and derivation list) on every grammar.  Where the
+grammar has no unary rule cycle the tree readers must give the same
+trees, chunk covers and ``TooAmbiguous`` verdicts on them; where it has
+one they refuse the chart.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 
 import reference_parser
 from grammargen import TERMINAL_POOL, feature_tags, random_case, to_grammar
-from xdoc.errors import TooAmbiguous
+from xdoc.errors import ResourceError, TooAmbiguous
 from xdoc.parsing import chunks, complete_parses, parse
 from xdoc.resources import Grammar
 
@@ -36,6 +38,11 @@ def assert_same_as_reference(tags, grammar):
     chart = parse(tags, grammar)
     expected = reference_parser.parse(tags, grammar)
     assert node_table(chart) == node_table(expected)
+    if grammar.compiled.cycle_rules:
+        for read in (chunks, lambda chart: complete_parses(chart, grammar.start_symbol)):
+            with pytest.raises(ResourceError, match="unary cycle"):
+                read(chart)
+        return
     assert chunks(chart) == reference_parser.chunks(expected)
     for symbol in sorted(grammar.lhs_names()):
         assert trees_or_verdict(complete_parses, chart, symbol) == trees_or_verdict(

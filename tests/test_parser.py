@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 import sys
 import threading
 
@@ -12,7 +13,7 @@ from cyk_oracle import brute_force_spans, chart_spans, count_bracketings
 from grammargen import TERMINAL_POOL, feature_tags, random_case, to_grammar
 from test_chart_reference import clause
 from xdoc import parsing
-from xdoc.errors import EmptyInput, TooAmbiguous
+from xdoc.errors import EmptyInput, ResourceError, TooAmbiguous
 from xdoc.parsing import (
     ParseTree,
     _parent_category,
@@ -145,6 +146,57 @@ def test_tree_walks_survive_deep_trees():
     assert tree.leaf_positions() == list(range(depth + 1))
 
 
+RIGHT_RECURSIVE = grammar_of(("S", ("x", "S")), ("S", ("e",)))
+
+
+def right_spine(tree: ParseTree) -> list[tuple[str, int, int]]:
+    """(name, start, end) down the last children, walked without recursion."""
+    spine = []
+    while tree.children:
+        spine.append((tree.category.name, tree.start, tree.end))
+        tree = tree.children[-1]
+    return spine + [(tree.category.name, tree.start, tree.end)]
+
+
+def test_readers_read_a_deep_chart_without_recursion():
+    # S -> x S | e over 5,000 x: one tree 5,001 S deep.  Trees this deep
+    # are compared by walks, since == on nested tuples recurses.
+    depth = 5000
+    tags = ["x"] * depth + ["e"]
+    expected = [("S", i, depth + 1) for i in range(depth + 1)] + [("e", depth, depth + 1)]
+    chart = parse(tags, RIGHT_RECURSIVE)
+    first = first_parse(chart, "S")
+    (listed,) = complete_parses(chart, "S")
+    assert right_spine(first) == right_spine(listed) == expected
+    assert render_bracketed(first) == render_bracketed(listed)
+    assert first.leaf_positions() == list(range(depth + 1))
+    # A leading tag that no rule covers: no complete parse, two chunks.
+    chart = parse(["y"] + tags, RIGHT_RECURSIVE)
+    assert first_parse(chart, "S") is None
+    leaf, chunk = chunks(chart)
+    assert (leaf.category.name, leaf.start, leaf.end, leaf.children) == ("y", 0, 1, ())
+    assert right_spine(chunk) == [(name, start + 1, end + 1) for name, start, end in expected]
+
+
+def test_parsing_has_no_recursive_function():
+    # Every walk over a chart or a tree keeps an explicit stack, so no
+    # input's depth meets the recursion limit.
+    import ast
+    import inspect
+
+    tree = ast.parse(inspect.getsource(parsing))
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            called = {
+                node.func.id
+                for node in ast.walk(func)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            }
+            assert func.name not in called, func.name
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"_trees", "_count_trees", "_sorted_derivations"}
+
+
 def test_feature_matching_requires_shared_keys_to_agree():
     nom = Category("NP", {"case": "nom"})
     acc = Category("NP", {"case": "acc"})
@@ -268,13 +320,19 @@ def test_first_parse_reads_a_clause_over_the_cap(de_core, monkeypatch, sizes, re
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=200, deadline=None)
 def test_first_parse_is_the_first_listed_tree(seed):
-    # Random grammars with features, unary cycles among them: wherever the
-    # full listing answers, the one-tree read gives its first tree.  Few
-    # random strings parse, so each constituent's span is read as a
-    # sentence of its own too.
+    # Random grammars with features: wherever the full listing answers,
+    # the one-tree read gives its first tree.  Few random strings parse,
+    # so each constituent's span is read as a sentence of its own too.
+    # A grammar with a unary rule cycle is refused by both readers.
     rng = random.Random(seed)
     rules, _ = random_case(rng)
     grammar = to_grammar(rules, rng)
+    if grammar.compiled.cycle_rules:
+        chart = parse([rng.choice(TERMINAL_POOL)], grammar)
+        for read in (first_parse, complete_parses):
+            with pytest.raises(ResourceError, match="unary cycle"):
+                read(chart, grammar.start_symbol)
+        return
     for _ in range(4):
         tags = [rng.choice(TERMINAL_POOL) for _ in range(rng.randint(1, 7))]
         if rng.random() < 0.75:
@@ -333,14 +391,17 @@ def test_feature_variants_of_start_symbol_all_enumerate():
 
 
 def test_unary_cycle_terminates_everywhere():
-    # such grammars are rejected by bundle validation, but the parser
-    # must still terminate when handed one directly
+    # Such grammars are rejected by bundle validation.  Handed one
+    # directly, the parser still builds the chart, and every tree reader
+    # refuses it, naming the first rule on the cycle.
     grammar = grammar_of(("A", ("B",)), ("B", ("A",)), ("B", ("x",)))
     chart = parse(["x", "x"], grammar)
+    assert grammar.compiled.cycle_rules == (0, 1) and EN_GRAMMAR.compiled.cycle_rules == ()
     assert ("A", 0, 1) in chart_spans(chart) and ("B", 0, 1) in chart_spans(chart)
-    assert chunks(chart)  # greedy cover completes
-    trees = complete_parses(parse(["x"], grammar), "A")
-    assert [render_bracketed(t) for t in trees] == ["(A (B x))"]
+    refusal = re.escape("grammar/rule[1]: unary cycle through 'A'")
+    for read in (chunks, lambda chart: first_parse(chart, "A"), lambda chart: complete_parses(chart, "A")):
+        with pytest.raises(ResourceError, match=refusal):
+            read(chart)
 
 
 def test_packed_chart_stays_small_under_massive_ambiguity():

@@ -514,7 +514,7 @@ def test_structural_relation_xml_uses_positional_arg_roles(de_core):
 AMBIGUOUS_BUNDLE = """<resources lang="xx">
   <taglexicon default="NN"/>
   <tagmap><map from="NN" to="N"/></tagmap>
-  <grammar start="NP" gf="positional">
+  <grammar start="NP">
     <rule lhs="NP" head="1"><cat name="NP"/><cat name="NP"/></rule>
     <rule lhs="NP" head="1"><cat name="N"/></rule>
   </grammar>
@@ -753,12 +753,11 @@ def test_warm_bundle_gives_the_bytes_of_a_cold_one(en_bio_path, de_core_path, tm
 
 
 def test_analysis_never_counts_trees(de_core_path, tmp_path, monkeypatch):
-    def refuse(*args):
-        raise AssertionError("trees counted")
-
-    monkeypatch.setattr(parsing, "_count_trees", refuse)
+    # With no tree allowed, every full listing refuses; the analysis path
+    # reads one tree per sentence and never consults the cap.
+    monkeypatch.setattr(parsing, "TREE_LIMIT", 0)
     path = ambiguous_bundle_path(tmp_path)
-    with pytest.raises(AssertionError, match="trees counted"):
+    with pytest.raises(TooAmbiguous):
         complete_parses(parse(["N"], load_bundle(path).grammar), "NP")
     doc = run_pipeline(path, "a b c d e f g h i")
     assert_first_ambiguous_tree(doc.sentences[0])

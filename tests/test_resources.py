@@ -96,7 +96,7 @@ def test_duplicate_semlex_entry_is_rejected():
 
 
 def test_head_index_out_of_bounds_is_rejected():
-    doc = """<resources lang="en"><grammar start="S" gf="positional">
+    doc = """<resources lang="en"><grammar start="S">
         <rule lhs="S" head="3"><cat name="A"/></rule>
     </grammar></resources>"""
     with pytest.raises(MalformedResource):
@@ -145,7 +145,7 @@ def test_validate_unreachable_terminal():
     doc = """<resources lang="en">
       <taglexicon default="NN"/>
       <tagmap><map from="NN" to="N"/></tagmap>
-      <grammar start="S" gf="positional">
+      <grammar start="S">
         <rule lhs="S" head="1"><cat name="N"/><cat name="ADJ"/></rule>
       </grammar>
     </resources>"""
@@ -232,7 +232,7 @@ def test_validate_unary_rule_cycle():
     doc = """<resources lang="en">
       <taglexicon default="T"/>
       <tagmap><map from="T" to="A"/></tagmap>
-      <grammar start="A" gf="positional">
+      <grammar start="A">
         <rule lhs="A" head="1"><cat name="B"/></rule>
         <rule lhs="B" head="1"><cat name="A"/></rule>
       </grammar>
@@ -388,9 +388,9 @@ BAD_DOCUMENTS = [
     ('<resources lang="en"><rules><rule from="A" to="B" trigger="prev_tag" value=""/></rules></resources>', "non-empty"),
     ('<resources lang="en"><tagmap><map from="A" to="X"/><map from="A" to="Y"/></tagmap></resources>', "duplicate mapping"),
     ('<resources lang="en"><functions><function gf="sideways"><cat name="NP"/></function></functions></resources>', "grammatical function"),
-    ('<resources lang="en"><grammar start="S" gf="positional"><rule lhs="S" head="x"><cat name="A"/></rule></grammar></resources>', "integer"),
-    ('<resources lang="en"><grammar start="X" gf="positional"><rule lhs="S" head="1"><cat name="A"/></rule></grammar></resources>', "start symbol"),
-    ('<resources lang="en"><grammar start="S" gf="positional"><rule lhs="S" head="1"><cat name="A" lhs="x"/></rule></grammar></resources>', "reserved"),
+    ('<resources lang="en"><grammar start="S"><rule lhs="S" head="x"><cat name="A"/></rule></grammar></resources>', "integer"),
+    ('<resources lang="en"><grammar start="X"><rule lhs="S" head="1"><cat name="A"/></rule></grammar></resources>', "start symbol"),
+    ('<resources lang="en"><grammar start="S"><rule lhs="S" head="1"><cat name="A" lhs="x"/></rule></grammar></resources>', "reserved"),
     ('<resources lang="en"><lemmarules><lemrule strip="" minstem="1"/></lemmarules></resources>', "strip"),
     ('<resources lang="en"><lemmarules><lemrule strip="s" minstem="-1"/></lemmarules></resources>', "non-negative"),
     ('<resources lang="en"><frames><frame id="f" predicate="p" relation="r"><slot role="a" gf="sideways" fill="c" required="true"/></frame></frames></resources>', "grammatical function"),
@@ -561,6 +561,43 @@ EXACT_MESSAGES = [
         ),
         "frames/frame[2]/slot[2]: missing required attribute 'fill'",
     ),
+    # An attribute the record table does not declare is refused, not
+    # ignored: a misspelled optional attribute would load as a weaker
+    # declaration, and a stale one would pass unnoticed.
+    (
+        _in_bundle('<functions><function gf="subject" befor="VP"><cat name="NP"/></function></functions>'),
+        "functions/function[1]: unknown attribute 'befor'",
+    ),
+    (
+        _in_bundle(
+            '<functions><function gf="subject" before="VP"><cat name="NP"/></function>'
+            '<function gf="object" after="V" befor="N"><cat name="NP"/></function></functions>'
+        ),
+        "functions/function[2]: unknown attribute 'befor'",
+    ),
+    (
+        _in_bundle('<grammar start="S" gf="case-marked"><rule lhs="S" head="1"><cat name="A"/></rule></grammar>'),
+        "grammar: unknown attribute 'gf'",
+    ),
+    (
+        _in_bundle(
+            '<semlex><entry lemma="a" pos="N" semclass="c"/>'
+            '<entry lemma="b" pos="N" semclass="c" sense="2"/></semlex>'
+        ),
+        "semlex/entry[2]: unknown attribute 'sense'",
+    ),
+    (
+        _in_bundle(
+            '<frames><frame id="f" predicate="p" relation="r">'
+            '<slot role="a" gf="subject" fill="c" required="true" optional="no"/></frame></frames>'
+        ),
+        "frames/frame[1]/slot[1]: unknown attribute 'optional'",
+    ),
+    (
+        _in_bundle('<structmap><pattern id="p" cat="NP" relation="r" arg1="1" arg2="2">'
+                   '<m name="A"/><m name="B" lemma="b"/></pattern></structmap>'),
+        "structmap/pattern[1]/m[2]: unknown attribute 'lemma'",
+    ),
 ]
 
 
@@ -574,7 +611,7 @@ def test_malformed_document_messages_are_exact(document, message):
 def test_unary_cycle_not_involving_all_rules():
     doc = """<resources lang="en">
       <tagmap><map from="T" to="A"/></tagmap>
-      <grammar start="A" gf="positional">
+      <grammar start="A">
         <rule lhs="A" head="1"><cat name="B"/></rule>
         <rule lhs="B" head="1"><cat name="C"/></rule>
         <rule lhs="C" head="1"><cat name="B"/></rule>
@@ -586,7 +623,7 @@ def test_unary_cycle_not_involving_all_rules():
 
 
 def test_empty_rule_body_is_rejected():
-    doc = """<resources lang="en"><grammar start="S" gf="positional">
+    doc = """<resources lang="en"><grammar start="S">
         <rule lhs="S" head="1"></rule>
     </grammar></resources>"""
     with pytest.raises(MalformedResource) as exc:
@@ -595,7 +632,7 @@ def test_empty_rule_body_is_rejected():
 
 
 def test_rule_attribute_name_is_reserved():
-    doc = """<resources lang="en"><grammar start="S" gf="positional">
+    doc = """<resources lang="en"><grammar start="S">
         <rule lhs="S" name="x" head="1"><cat name="A"/></rule>
     </grammar></resources>"""
     with pytest.raises(MalformedResource):
