@@ -18,11 +18,13 @@ runs.
 
 The XML form is written down once, under "The XML form" below: a record
 table gives each record element's attributes, and a section table gives
-every section's reader and writer in canonical order.  The loader and
-the writer both work from these two tables.  A reader names no location
-while it reads: a location such as ``semlex/entry[3]`` is formed only
-when a record is refused, by the loops that hold the element indexes,
-one step each on the way out.
+each section's own attributes and records in canonical order.  The
+loader and the writer both work from these two tables, and the loader
+refuses any attribute they do not declare, except the feature
+attributes of a grammar ``<rule>`` and of ``<cat>``.  A reader names no
+location while it reads: a location such as ``semlex/entry[3]`` is
+formed only when a record is refused, by the loops that hold the
+element indexes, one step each on the way out.
 """
 
 from __future__ import annotations
@@ -443,6 +445,9 @@ class ResourceBundle:
         if not all(self.tag_lexicon.values()):
             form = next(form for form, tags in self.tag_lexicon.items() if not tags)
             raise ValueError(f"empty tag list for form {form!r}")
+        if not all(self.tagset_map.values()):
+            source = next(source for source, target in self.tagset_map.items() if not target)
+            raise ValueError(f"empty target tag for source tag {source!r}")
         clash = _semlex_clash(self.sem_lexicon) or _function_clash(self.functions)
         if clash is not None:
             raise ValueError(clash[1])
@@ -471,8 +476,13 @@ class ResourceBundle:
 # ---------------------------------------------------------------------------
 # The XML form
 #
-# One helper reads and one writes every record from the record table.
-# The other sections have hand-written readers and writers, side by side.
+# Two tables declare every element.  The record table gives each record
+# element's attributes: a listed record builds one instance of its class,
+# a keyed record folds into a dict by its key, and a grammar <rule> takes
+# any other attribute as a feature, as a <cat> does.  The section table
+# gives each section's own attributes and records, in canonical order.
+# Every element refuses an attribute it does not declare, except those
+# feature attributes.
 
 
 def _require(elem: ET.Element, attr: str) -> str:
@@ -546,6 +556,12 @@ def _attrs(pairs: Iterable[tuple[str, str]]) -> str:
     return "".join(f' {key}="{_esc(value)}"' for key, value in pairs)
 
 
+def _element(tag: str, pairs: Iterable[tuple[str, str]], body: str | None = None) -> str:
+    """``tag`` with ``pairs`` as its attributes and ``body`` as its content, if given."""
+    start = f"<{tag}{_attrs(pairs)}"
+    return f"{start}/>" if body is None else f"{start}>{body}</{tag}>"
+
+
 # Characters XML 1.0 cannot carry, escaped or not.  ``\S+`` can take the
 # first set into a word; the rest (\v, \f, \x1c-\x1f) is whitespace to it.
 _NOT_XML_WORD_CHARS = r"\x00-\x08\x0e-\x1b\ufffe\uffff\ud800-\udfff"
@@ -560,23 +576,64 @@ def _attr_text(value: object) -> str:
 
 
 class _Record(NamedTuple):
-    """A record element: its tag, the class it builds, its (attribute,
-    field, reader) triples in canonical attribute order, the position
-    among the class's fields of the one read from child elements, and
-    how many of its attributes are required."""
+    """A listed record element: its tag, the class it builds, its
+    (attribute, field, reader) triples in canonical attribute order, the
+    position among the class's fields of the one read from child
+    elements, how many of its attributes are required, the reader and
+    writer of its child elements, and the check that finds the first
+    record clashing with an earlier one, with the reason."""
 
     tag: str
     cls: type
     attrs: tuple[tuple[str, str, Callable[[ET.Element, str], object]], ...]
     children_at: int
     required: int
+    read_children: Callable[[ET.Element], object] | None = None
+    write_children: Callable[[object], str | None] = lambda item: None
+    clash: Callable[[list], tuple[int, str] | None] | None = None
+
+    def read(self, children: list[ET.Element]) -> tuple:
+        """``children``, all elements of this record, built in order.
+
+        A child that cannot be built, that carries an attribute the
+        record does not declare or that clashes with an earlier one is
+        refused at ``{tag}[i]``, or below it for a fault in its own
+        children.
+        """
+        cls, attrs, children_at, required = self.cls, self.attrs, self.children_at, self.required
+        read_children = self.read_children
+        items = []
+        for i, child in enumerate(children, 1):
+            try:
+                values = [read(child, attr) for attr, _, read in attrs]
+                if len(child.attrib) > required:  # more than the required ones, read above
+                    _refuse_unknown(child, [attr for attr, _, _ in attrs])
+                if read_children is not None:
+                    values.insert(children_at, read_children(child))
+                items.append(cls(*values))
+            except (ValueError, MalformedResource) as exc:
+                raise _at(f"{self.tag}[{i}]", exc) from None
+        clash = None if self.clash is None else self.clash(items)
+        if clash is not None:
+            raise MalformedResource(f"{self.tag}[{clash[0] + 1}]", clash[1])
+        return tuple(items)
+
+    def write(self, items: Iterable) -> list[str]:
+        lines = []
+        for item in items:
+            values = ((attr, getattr(item, name)) for attr, name, _ in self.attrs)
+            pairs = [(attr, _attr_text(value)) for attr, value in values if value is not None]
+            lines.append(_element(self.tag, pairs, self.write_children(item)))
+        return lines
 
 
-def _record(tag: str, cls: type, **attrs: str) -> _Record:
+def _record(tag: str, cls: type, *children: Callable, clash=None, **attrs: str) -> _Record:
     """Declare ``tag`` from field=attribute pairs, binding each reader once.
 
     Records are built positionally, so the pairs follow the class's field
-    order; a field left out is the one read from child elements.
+    order; a field left out is the one read from child elements, by the
+    reader and writer given in ``children``.  ``clash`` checks the
+    records of one parent element together.
     """
     types = {f.name: f.type for f in fields(cls)}
     if list(attrs) != [name for name in types if name in attrs]:
@@ -584,145 +641,63 @@ def _record(tag: str, cls: type, **attrs: str) -> _Record:
     triples = tuple((attr, name, _READERS[types[name]]) for name, attr in attrs.items())
     children_at = next((i for i, name in enumerate(types) if name not in attrs), len(types))
     required = sum(types[name] != "str | None" for name in attrs)
-    return _Record(tag, cls, triples, children_at, required)
+    return _Record(tag, cls, triples, children_at, required, *children, clash=clash)
 
 
-# The record table.  Functions, frames and patterns declare their header
-# attributes here; the rest of each comes from its child elements.
-_CONTEXT_RULE = _record(
-    "rule", ContextRule, from_tag="from", to_tag="to", trigger="trigger", trigger_value="value"
-)
-_LEMMA_RULE = _record("lemrule", LemmaRule, strip="strip", min_stem_len="minstem")
-_SEMLEX_ENTRY = _record("entry", SemLexEntry, lemma="lemma", pos="pos", semclass="semclass")
-_FRAME_SLOT = _record(
-    "slot", FrameSlot, role="role", gf="gf", fill_concept="fill", required="required"
-)
-_FUNCTION = _record("function", GrammaticalFunction, gf="gf", after="after", before="before")
-_CASE_FRAME = _record("frame", CaseFrame, id="id", predicate_lemma="predicate", relation="relation")
-_PATTERN_ITEM = _record("m", PatternItem, name="name", form="form")
-_STRUCT_PATTERN = _record(
-    "pattern", StructPattern,
-    id="id", constituent_cat="cat", relation="relation", arg1="arg1", arg2="arg2",
-)
+class _Keyed(NamedTuple):
+    """A keyed record element, folded into a dict by its ``key`` attribute;
+    ``repeat`` is the reason a repeated key is refused, its ``{!r}`` the
+    key.  The key maps to the ``value`` attribute as ``parse`` reads it
+    (``text`` writes it back; ``empty`` refuses an empty one), or else to
+    its ``children`` folded, or else to None: a set member."""
 
+    tag: str
+    key: str
+    repeat: str
+    value: str | None = None
+    empty: str | None = None
+    parse: Callable[[str], object] = str
+    text: Callable[[object], str] = str
+    children: _Keyed | None = None
 
-def _read_records(elem: ET.Element, record: _Record, read_children=None) -> list:
-    """The children of ``elem`` built as ``record`` instances, in order.
+    def read(self, children: list[ET.Element]) -> dict:
+        """``children``, all elements of this record, folded by key in
+        document order; a refused child is located at ``{tag}[i]``."""
+        key_attr, value_attr, parse, nested = self.key, self.value, self.parse, self.children
+        declared = (key_attr,) if value_attr is None else (key_attr, value_attr)
+        folded: dict = {}
+        for i, child in enumerate(children, 1):
+            try:
+                attrib = child.attrib
+                key, value = attrib.get(key_attr), attrib.get(value_attr)
+                if key is None or len(attrib) != len(declared) or (value is None and value_attr):
+                    for attr in declared:  # a faulty child: the first fault raises
+                        _require(child, attr)
+                    _refuse_unknown(child, declared)
+                if value_attr is not None:
+                    value = parse(value)
+                    if not value and self.empty is not None:
+                        raise ValueError(self.empty)
+                elif nested is not None:
+                    value = nested.read(_children(child, (nested.tag,)))
+                if key in folded:
+                    raise ValueError(self.repeat.format(key))
+            except (ValueError, MalformedResource) as exc:
+                raise _at(f"{self.tag}[{i}]", exc) from None
+            folded[key] = value
+        return folded
 
-    ``read_children(child)`` gives the field that a record reads from its
-    own child elements.  A child that cannot be built, or that carries an
-    attribute the record does not declare, is refused at ``{tag}[i]``, or
-    below it for a fault in its own children.
-    """
-    cls, attrs, children_at, required = record.cls, record.attrs, record.children_at, record.required
-    items = []
-    for i, child in enumerate(_children(elem, (record.tag,)), 1):
-        try:
-            values = [read(child, attr) for attr, _, read in attrs]
-            if len(child.attrib) > required:  # more than the required ones, read above
-                _refuse_unknown(child, [attr for attr, _, _ in attrs])
-            if read_children is not None:
-                values.insert(children_at, read_children(child))
-            items.append(cls(*values))
-        except (ValueError, MalformedResource) as exc:
-            raise _at(f"{record.tag}[{i}]", exc) from None
-    return items
-
-
-def _write_record(record: _Record, item: object, body: str | None = None) -> str:
-    """``item`` as its record element, with ``body`` as its content if given."""
-    values = ((attr, getattr(item, name)) for attr, name, _ in record.attrs)
-    pairs = [(attr, _attr_text(value)) for attr, value in values if value is not None]
-    start = f"<{record.tag}{_attrs(pairs)}"
-    return f"{start}/>" if body is None else f"{start}>{body}</{record.tag}>"
-
-
-def _section(tag: str, items: list[str], attrs: Sequence[tuple[str, str]] = ()) -> list[str]:
-    """A section's lines around ``items``; none when it has no items and no attributes."""
-    if not items and not attrs:
-        return []
-    return [f"  <{tag}{_attrs(attrs)}>", *(f"    {item}" for item in items), f"  </{tag}>"]
-
-
-def _record_section(tag: str, field_name: str, record: _Record,
-                    read_children=None, write_children=lambda item: None) -> tuple:
-    """The section table entry of a section that holds only ``record`` elements."""
-
-    def read(elem: ET.Element) -> dict:
-        return {field_name: tuple(_read_records(elem, record, read_children))}
-
-    def write(bundle: ResourceBundle) -> list[str]:
-        items = getattr(bundle, field_name)
-        return _section(tag, [_write_record(record, item, write_children(item)) for item in items])
-
-    return tag, read, write
-
-
-def _read_abbreviations(elem: ET.Element) -> dict:
-    forms = set()
-    for i, child in enumerate(_children(elem, {"abbr"}), 1):
-        try:
-            forms.add(_require(child, "form"))
-        except ValueError as exc:
-            raise _at(f"abbr[{i}]", exc) from None
-    return {"abbreviations": frozenset(forms)}
-
-
-def _write_abbreviations(bundle: ResourceBundle) -> list[str]:
-    forms = sorted(bundle.abbreviations)
-    return _section("abbreviations", [f"<abbr{_attrs([('form', form)])}/>" for form in forms])
-
-
-def _read_taglexicon(elem: ET.Element) -> dict:
-    entries: dict[str, tuple[str, ...]] = {}
-    for i, child in enumerate(_children(elem, {"w"}), 1):
-        try:
-            form = _require(child, "form")
-            tags = tuple(_require(child, "tags").split())
-            if not tags:
-                raise ValueError("empty tag list")
-            if form in entries:
-                raise ValueError(f"duplicate form {form!r}")
-        except ValueError as exc:
-            raise _at(f"w[{i}]", exc) from None
-        entries[form] = tags
-    default, capitalized = elem.get("default"), elem.get("capitalized")
-    return {"tag_lexicon": entries, "default_tag": default, "capitalized_tag": capitalized}
-
-
-def _write_taglexicon(bundle: ResourceBundle) -> list[str]:
-    tags = (("default", bundle.default_tag), ("capitalized", bundle.capitalized_tag))
-    attrs = [(attr, tag) for attr, tag in tags if tag is not None]
-    if not bundle.tag_lexicon:
-        return [f"  <taglexicon{_attrs(attrs)}/>"] if attrs else []
-    words = [
-        f"<w{_attrs([('form', form), ('tags', ' '.join(bundle.tag_lexicon[form]))])}/>"
-        for form in sorted(bundle.tag_lexicon)
-    ]
-    return _section("taglexicon", words, attrs)
-
-
-def _read_tagmap(elem: ET.Element) -> dict:
-    mapping: dict[str, str] = {}
-    for i, child in enumerate(_children(elem, {"map"}), 1):
-        try:
-            src = _require(child, "from")
-            dst = _require(child, "to")
-            if src in mapping:
-                raise ValueError(f"duplicate mapping for source tag {src!r}")
-        except ValueError as exc:
-            raise _at(f"map[{i}]", exc) from None
-        mapping[src] = dst
-    return {"tagset_map": mapping, "tagset_source": elem.get("source", "")}
-
-
-def _write_tagmap(bundle: ResourceBundle) -> list[str]:
-    attrs = [("source", bundle.tagset_source)] if bundle.tagset_source else []
-    maps = [
-        f"<map{_attrs([('from', src), ('to', bundle.tagset_map[src])])}/>"
-        for src in sorted(bundle.tagset_map)
-    ]
-    return _section("tagmap", maps, attrs)
+    def write(self, folded: Iterable) -> list[str]:
+        """``folded``, a dict or, for set members, the keys alone, sorted by key."""
+        lines = []
+        for key in sorted(folded):
+            pairs, body = [(self.key, key)], None
+            if self.value is not None:
+                pairs.append((self.value, self.text(folded[key])))
+            elif self.children is not None:
+                body = "".join(self.children.write(folded[key])) or None
+            lines.append(_element(self.tag, pairs, body))
+        return lines
 
 
 def _read_category(elem: ET.Element) -> Category:
@@ -732,48 +707,44 @@ def _read_category(elem: ET.Element) -> Category:
     return cat
 
 
-def _read_rule(elem: ET.Element) -> GrammarRule:
-    lhs_name = _require(elem, "lhs")
-    head = _int_attr(elem, "head")
-    if "name" in elem.attrib:
-        raise ValueError("feature key 'name' is reserved")
-    lhs_features = {k: v for k, v in elem.attrib.items() if k not in ("lhs", "head")}
-    rhs = []
-    for j, cat in enumerate(_children(elem, {"cat"}), 1):
-        try:
-            rhs.append(_read_category(cat))
-        except ValueError as exc:
-            raise _at(f"cat[{j}]", exc) from None
-    return GrammarRule(Category(lhs_name, lhs_features), tuple(rhs), head)
-
-
-def _read_grammar(elem: ET.Element) -> dict:
-    start = _require(elem, "start")
-    _refuse_unknown(elem, ("start",))
-    rules = []
-    for i, child in enumerate(_children(elem, {"rule"}), 1):
-        try:
-            rules.append(_read_rule(child))
-        except (ValueError, MalformedResource) as exc:
-            raise _at(f"rule[{i}]", exc) from None
-    return {"grammar": Grammar(start, tuple(rules))}
-
-
 def _write_category(cat: Category) -> str:
-    return f"<cat{_attrs([('name', cat.name), *cat.features])}/>"
+    return _element("cat", [("name", cat.name), *cat.features])
 
 
-def _write_grammar(bundle: ResourceBundle) -> list[str]:
-    grammar = bundle.grammar
-    attrs = [("start", grammar.start_symbol)]
-    if not grammar.rules:
-        return [f"  <grammar{_attrs(attrs)}/>"] if grammar.start_symbol else []
-    rules = []
-    for rule in grammar.rules:
-        pairs = [("lhs", rule.lhs.name), *rule.lhs.features, ("head", str(rule.head))]
-        cats = "".join(_write_category(cat) for cat in rule.rhs)
-        rules.append(f"<rule{_attrs(pairs)}>{cats}</rule>")
-    return _section("grammar", rules, attrs)
+class _GrammarRuleRecord:
+    """The grammar's ``<rule>`` element: beside ``lhs`` and ``head`` its
+    attributes are features of its left-hand side, and each ``<cat>``
+    child is one category of its right-hand side, its attributes beside
+    ``name`` features."""
+
+    tag = "rule"
+
+    def read(self, children: list[ET.Element]) -> tuple[GrammarRule, ...]:
+        rules = []
+        for i, child in enumerate(children, 1):
+            try:
+                lhs_name, head = _require(child, "lhs"), _int_attr(child, "head")
+                if "name" in child.attrib:
+                    raise ValueError("feature key 'name' is reserved")
+                features = {k: v for k, v in child.attrib.items() if k not in ("lhs", "head")}
+                rhs = []
+                for j, cat in enumerate(_children(child, {"cat"}), 1):
+                    try:
+                        rhs.append(_read_category(cat))
+                    except ValueError as exc:
+                        raise _at(f"cat[{j}]", exc) from None
+                rules.append(GrammarRule(Category(lhs_name, features), tuple(rhs), head))
+            except (ValueError, MalformedResource) as exc:
+                raise _at(f"{self.tag}[{i}]", exc) from None
+        return tuple(rules)
+
+    def write(self, rules: Iterable[GrammarRule]) -> list[str]:
+        lines = []
+        for rule in rules:
+            pairs = [("lhs", rule.lhs.name), *rule.lhs.features, ("head", str(rule.head))]
+            body = "".join(_write_category(cat) for cat in rule.rhs)
+            lines.append(_element(self.tag, pairs, body))
+        return lines
 
 
 def _read_function_category(elem: ET.Element) -> Category:
@@ -783,109 +754,151 @@ def _read_function_category(elem: ET.Element) -> Category:
     return _read_category(cats[0])
 
 
-def _read_slots(elem: ET.Element) -> tuple[FrameSlot, ...]:
-    slots = _read_records(elem, _FRAME_SLOT)
-    clash = _slot_clash(slots)
-    if clash is not None:
-        raise MalformedResource(f"{_FRAME_SLOT.tag}[{clash[0] + 1}]", clash[1])
-    return tuple(slots)
+# The record table.  A function's category, a frame's slots and a
+# pattern's items are read from and written to child elements.
+_CONTEXT_RULE = _record(
+    "rule", ContextRule, from_tag="from", to_tag="to", trigger="trigger", trigger_value="value"
+)
+_LEMMA_RULE = _record("lemrule", LemmaRule, strip="strip", min_stem_len="minstem")
+_SEMLEX_ENTRY = _record(
+    "entry", SemLexEntry, clash=_semlex_clash, lemma="lemma", pos="pos", semclass="semclass"
+)
+_FRAME_SLOT = _record(
+    "slot", FrameSlot,
+    clash=_slot_clash, role="role", gf="gf", fill_concept="fill", required="required",
+)
+_FUNCTION = _record(
+    "function", GrammaticalFunction,
+    _read_function_category, lambda function: _write_category(function.category),
+    clash=_function_clash, gf="gf", after="after", before="before",
+)
+_CASE_FRAME = _record(
+    "frame", CaseFrame,
+    lambda elem: _FRAME_SLOT.read(_children(elem, (_FRAME_SLOT.tag,))),
+    lambda frame: "".join(f"\n      {slot}" for slot in _FRAME_SLOT.write(frame.slots))
+    + "\n    ",
+    id="id", predicate_lemma="predicate", relation="relation",
+)
+_PATTERN_ITEM = _record("m", PatternItem, name="name", form="form")
+_STRUCT_PATTERN = _record(
+    "pattern", StructPattern,
+    lambda elem: _PATTERN_ITEM.read(_children(elem, (_PATTERN_ITEM.tag,))),
+    lambda pattern: "".join(_PATTERN_ITEM.write(pattern.rhs_match)),
+    id="id", constituent_cat="cat", relation="relation", arg1="arg1", arg2="arg2",
+)
+_ABBR = _Keyed("abbr", "form", "duplicate abbreviation {!r}")
+_WORD = _Keyed("w", "form", "duplicate form {!r}", "tags", "empty tag list",
+               lambda text: tuple(text.split()), " ".join)
+_MAP = _Keyed("map", "from", "duplicate mapping for source tag {!r}", "to", "empty target tag")
+_CONCEPT = _Keyed("concept", "id", "duplicate concept {!r}",
+                  children=_Keyed("isa", "ref", "duplicate isa target {!r}"))
+_LEXMAP = _Keyed("lexmap", "semclass", "duplicate lexmap for semclass {!r}", "concept")
+_GRAMMAR_RULE = _GrammarRuleRecord()
 
 
-def _read_parents(elem: ET.Element, concepts: Container[str]) -> set[str]:
-    parents = set()
-    for j, isa_elem in enumerate(_children(elem, {"isa"}), 1):
-        try:
-            ref = _require(isa_elem, "ref")
+def _ontology(concepts: dict, lexmap: dict) -> dict:
+    """The ontology of the folded records.  Keys are unique and folds keep
+    document order, so the first isa or lexmap target that is no concept
+    is refused where it stands; the constructor raises CyclicOntology
+    for an isa cycle."""
+    for i, parents in enumerate(concepts.values(), 1):
+        for j, ref in enumerate(parents, 1):
             if ref not in concepts:
-                raise ValueError(f"isa target {ref!r} is not a concept")
-        except ValueError as exc:
-            raise _at(f"isa[{j}]", exc) from None
-        parents.add(ref)
-    return parents
-
-
-def _read_ontology(elem: ET.Element) -> dict:
-    groups: dict[str, list[ET.Element]] = {"concept": [], "lexmap": []}
-    for child in _children(elem, groups):
-        groups[child.tag].append(child)
-
-    concepts: dict[str, ET.Element] = {}
-    for i, child in enumerate(groups["concept"], 1):
-        try:
-            cid = _require(child, "id")
-            if cid in concepts:
-                raise ValueError(f"duplicate concept {cid!r}")
-        except ValueError as exc:
-            raise _at(f"concept[{i}]", exc) from None
-        concepts[cid] = child
-
-    isa: dict[str, frozenset[str]] = {}
-    for i, (cid, child) in enumerate(concepts.items(), 1):
-        try:
-            parents = _read_parents(child, concepts)
-        except (ValueError, MalformedResource) as exc:
-            raise _at(f"concept[{i}]", exc) from None
-        if parents:
-            isa[cid] = frozenset(parents)
-
-    lexmap: dict[str, str] = {}
-    for i, child in enumerate(groups["lexmap"], 1):
-        try:
-            semclass = _require(child, "semclass")
-            concept = _require(child, "concept")
-            if concept not in concepts:
-                raise ValueError(f"lexmap target {concept!r} is not a concept")
-            if semclass in lexmap:
-                raise ValueError(f"duplicate lexmap for semclass {semclass!r}")
-        except ValueError as exc:
-            raise _at(f"lexmap[{i}]", exc) from None
-        lexmap[semclass] = concept
-
-    # Every reference was checked above, with its location; the
-    # constructor raises CyclicOntology for an isa cycle.
+                reason = f"isa target {ref!r} is not a concept"
+                raise MalformedResource(f"concept[{i}]/isa[{j}]", reason)
+    for i, target in enumerate(lexmap.values(), 1):
+        if target not in concepts:
+            raise MalformedResource(f"lexmap[{i}]", f"lexmap target {target!r} is not a concept")
+    isa = {cid: frozenset(parents) for cid, parents in concepts.items() if parents}
     return {"ontology": Ontology(frozenset(concepts), isa, lexmap)}
 
 
-def _write_ontology(bundle: ResourceBundle) -> list[str]:
-    ontology = bundle.ontology
-    items = []
-    for cid in sorted(ontology.concepts):
-        isa = "".join(f"<isa{_attrs([('ref', p)])}/>" for p in sorted(ontology.parents(cid)))
-        concept = f"<concept{_attrs([('id', cid)])}"
-        items.append(f"{concept}>{isa}</concept>" if isa else f"{concept}/>")
-    for semclass in sorted(ontology.lexmap):
-        pairs = [("semclass", semclass), ("concept", ontology.lexmap[semclass])]
-        items.append(f"<lexmap{_attrs(pairs)}/>")
-    return _section("ontology", items)
+_REQUIRED = object()  # the absent value of an attribute that must be given
 
 
-# The section table: each section's element, its reader (which returns
-# the bundle fields it fills) and its writer, in canonical order.
+class _Section(NamedTuple):
+    """A section element: its tag, its own attributes as (attribute, name,
+    value when absent) triples, and its records as (name, record) pairs.
+    The names are the bundle fields it fills, unless ``build`` makes those
+    from the named values and ``named`` gives the named values of a
+    bundle.  ``end_tag`` writes an end tag after attributes and no records."""
+
+    tag: str
+    attrs: tuple[tuple[str, str, object], ...] = ()
+    records: tuple[tuple[str, _Record | _Keyed | _GrammarRuleRecord], ...] = ()
+    build: Callable[..., dict] | None = None
+    named: Callable[[ResourceBundle], dict] | None = None
+    end_tag: bool = False
+
+
+def _read_attrs(elem: ET.Element, section: _Section) -> dict:
+    """The values of ``elem``'s own attributes by name, as ``section`` declares them."""
+    values = {name: _require(elem, attr) if absent is _REQUIRED else elem.get(attr, absent)
+              for attr, name, absent in section.attrs}
+    if elem.attrib:
+        _refuse_unknown(elem, [attr for attr, _, _ in section.attrs])
+    return values
+
+
+def _read_section(section: _Section, elem: ET.Element) -> dict:
+    """The bundle fields that ``elem`` fills, read as ``section`` declares."""
+    values = _read_attrs(elem, section)
+    children = _children(elem, [record.tag for _, record in section.records])
+    for name, record in section.records:
+        values[name] = record.read(children if len(section.records) == 1
+                                   else [child for child in children if child.tag == record.tag])
+    return values if section.build is None else section.build(**values)
+
+
+def _write_section(section: _Section, bundle: ResourceBundle) -> list[str]:
+    """``section``'s lines for ``bundle``: none without records or attributes to write."""
+    if section.named is not None:
+        values = section.named(bundle)
+    else:
+        names = [name for _, name, _ in section.attrs] + [name for name, _ in section.records]
+        values = {name: getattr(bundle, name) for name in names}
+    # An attribute is left out when absent, or when required and empty.
+    attrs = [(attr, values[name]) for attr, name, absent in section.attrs
+             if values[name] != ("" if absent is _REQUIRED else absent)]
+    items = [item for name, record in section.records for item in record.write(values[name])]
+    if not items and not attrs:
+        return []
+    if not items and not section.end_tag:
+        return [f"  {_element(section.tag, attrs)}"]
+    start = f"  <{section.tag}{_attrs(attrs)}>"
+    return [start, *(f"    {item}" for item in items), f"  </{section.tag}>"]
+
+
+# The section table, in canonical order, after the root's own attribute.
+_RESOURCES = _Section("resources", (("lang", "lang", _REQUIRED),))
 _SECTIONS = (
-    ("abbreviations", _read_abbreviations, _write_abbreviations),
-    ("taglexicon", _read_taglexicon, _write_taglexicon),
-    _record_section("rules", "context_rules", _CONTEXT_RULE),
-    ("tagmap", _read_tagmap, _write_tagmap),
-    ("grammar", _read_grammar, _write_grammar),
-    _record_section(
-        "functions", "functions", _FUNCTION,
-        _read_function_category, lambda function: _write_category(function.category),
+    _Section("abbreviations", records=(("abbreviations", _ABBR),),
+             build=lambda abbreviations: {"abbreviations": frozenset(abbreviations)}),
+    _Section(
+        "taglexicon", (("default", "default_tag", None), ("capitalized", "capitalized_tag", None)),
+        (("tag_lexicon", _WORD),),
     ),
-    _record_section("lemmarules", "lemma_rules", _LEMMA_RULE),
-    _record_section("semlex", "sem_lexicon", _SEMLEX_ENTRY),
-    _record_section(
-        "frames", "frames", _CASE_FRAME, _read_slots,
-        lambda frame: "".join(f"\n      {_write_record(_FRAME_SLOT, slot)}" for slot in frame.slots)
-        + "\n    ",
+    _Section("rules", records=(("context_rules", _CONTEXT_RULE),)),
+    _Section("tagmap", (("source", "tagset_source", ""),), (("tagset_map", _MAP),), end_tag=True),
+    _Section(
+        "grammar", (("start", "start", _REQUIRED),), (("rules", _GRAMMAR_RULE),),
+        build=lambda start, rules: {"grammar": Grammar(start, rules)},
+        named=lambda bundle: {"start": bundle.grammar.start_symbol, "rules": bundle.grammar.rules},
     ),
-    ("ontology", _read_ontology, _write_ontology),
-    _record_section(
-        "structmap", "struct_patterns", _STRUCT_PATTERN,
-        lambda elem: tuple(_read_records(elem, _PATTERN_ITEM)),
-        lambda pattern: "".join(_write_record(_PATTERN_ITEM, item) for item in pattern.rhs_match),
+    _Section("functions", records=(("functions", _FUNCTION),)),
+    _Section("lemmarules", records=(("lemma_rules", _LEMMA_RULE),)),
+    _Section("semlex", records=(("sem_lexicon", _SEMLEX_ENTRY),)),
+    _Section("frames", records=(("frames", _CASE_FRAME),)),
+    _Section(
+        "ontology", records=(("concepts", _CONCEPT), ("lexmap", _LEXMAP)), build=_ontology,
+        named=lambda bundle: {
+            "concepts": {cid: bundle.ontology.parents(cid) for cid in bundle.ontology.concepts},
+            "lexmap": bundle.ontology.lexmap,
+        },
     ),
+    _Section("structmap", records=(("struct_patterns", _STRUCT_PATTERN),)),
 )
-_SECTION_READERS = {tag: read for tag, read, _ in _SECTIONS}
+_SECTIONS_BY_TAG = {section.tag: section for section in _SECTIONS}
 
 
 # ---------------------------------------------------------------------------
@@ -902,35 +915,26 @@ def loads_bundle(data: str | bytes) -> ResourceBundle:
         raise MalformedResource("document", f"root element must be <resources>, got <{root.tag}>")
 
     try:
-        lang = _require(root, "lang")
-        if not lang:
+        values = _read_attrs(root, _RESOURCES)
+        if not values["lang"]:
             raise ValueError("lang must be non-empty")
-        sections = _children(root, _SECTION_READERS)
+        sections = _children(root, _SECTIONS_BY_TAG)
     except ValueError as exc:
         raise MalformedResource("resources", str(exc)) from None
 
-    values: dict[str, object] = {"lang": lang}
     seen = set()
     for child in sections:
         if child.tag in seen:
             raise MalformedResource("resources", f"duplicate section <{child.tag}>")
         seen.add(child.tag)
         try:
-            values.update(_SECTION_READERS[child.tag](child))
+            values.update(_read_section(_SECTIONS_BY_TAG[child.tag], child))
         except (ValueError, MalformedResource) as exc:
             raise _at(child.tag, exc) from None
 
     try:
         return ResourceBundle(**values)  # type: ignore[arg-type]
-    except ValueError as exc:
-        # Each section's own checks were made above, with their locations.
-        # What is left is a semantic lexicon entry that repeats an earlier
-        # (lemma, pos) or a function declared twice, located here only
-        # when refused.
-        for where, clash in (("semlex/entry", _semlex_clash(values.get("sem_lexicon", ()))),
-                             ("functions/function", _function_clash(values.get("functions", ())))):
-            if clash is not None:
-                raise MalformedResource(f"{where}[{clash[0] + 1}]", clash[1]) from None
+    except ValueError as exc:  # the sections refuse all the constructor does, with locations
         raise MalformedResource("resources", str(exc)) from None
 
 
@@ -1144,12 +1148,7 @@ def validate_bundle(bundle: ResourceBundle) -> list[Finding]:
 
 def serialize_bundle(bundle: ResourceBundle) -> str:
     """Write canonical bundle XML: byte-identical across repeated calls."""
-    body = [line for _, _, write in _SECTIONS for line in write(bundle)]
-    lines = ['<?xml version="1.0" encoding="UTF-8"?>']
-    if body:
-        lines.append(f'<resources{_attrs([("lang", bundle.lang)])}>')
-        lines.extend(body)
-        lines.append("</resources>")
-    else:
-        lines.append(f'<resources{_attrs([("lang", bundle.lang)])}/>')
-    return "\n".join(lines) + "\n"
+    body = [line for section in _SECTIONS for line in _write_section(section, bundle)]
+    lang = _attrs([("lang", bundle.lang)])
+    root = [f"<resources{lang}>", *body, "</resources>"] if body else [f"<resources{lang}/>"]
+    return "\n".join(['<?xml version="1.0" encoding="UTF-8"?>', *root]) + "\n"

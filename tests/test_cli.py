@@ -578,3 +578,26 @@ def test_stdout_is_utf8_whatever_the_locale(de_core_path, tmp_path, locale_env):
     assert (validate.returncode, parse.returncode) == (0, 0), validate.stderr + parse.stderr
     assert validate.stdout.endswith(f"{bundle}: ok (de)\n".encode("utf-8"))
     assert parse.stdout.startswith(b"(S ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["validate", "{bundle}"],
+     ["analyze", "--bundle", "{bundle}", "--external-tags", "{tags}"],
+     ["analyze", "--bundle", "{bundle}", "--lenient", "--external-tags", "{tags}"],
+     ["analyze", "--bundle", "{bundle}", "--input", "{text}"]],
+    ids=["validate", "strict", "lenient", "text"],
+)
+def test_empty_tagset_map_target_is_a_resource_error(en_bio_path, tmp_path, capsys, argv):
+    # An empty target would name an empty parser category; the loader
+    # refuses it, so no command gets as far as building one.
+    source = Path(en_bio_path).read_text(encoding="utf-8")
+    source = source.replace("</tagmap>", '<map from="XX" to=""/></tagmap>', 1)
+    bundle = tmp_path / "empty-target.xml"
+    bundle.write_text(source.replace("</taglexicon>", '<w form="foo" tags="XX"/></taglexicon>', 1),
+                      encoding="utf-8")
+    (tmp_path / "tags.tsv").write_text("foo\tXX\n", encoding="utf-8")
+    (tmp_path / "doc.txt").write_text("foo .\n", encoding="utf-8")
+    paths = {"bundle": bundle, "tags": tmp_path / "tags.tsv", "text": tmp_path / "doc.txt"}
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    assert capsys.readouterr().err == "resource error: tagmap/map[6]: empty target tag\n"

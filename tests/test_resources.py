@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
@@ -598,6 +599,113 @@ EXACT_MESSAGES = [
                    '<m name="A"/><m name="B" lemma="b"/></pattern></structmap>'),
         "structmap/pattern[1]/m[2]: unknown attribute 'lemma'",
     ),
+    # Every other element refuses an undeclared attribute too: the root,
+    # each section and each keyed record.  A misspelled capitalized tag
+    # would otherwise load as none.
+    (
+        '<resources lang="en" version="2"/>',
+        "resources: unknown attribute 'version'",
+    ),
+    (
+        _in_bundle('<taglexicon default="NN" capitalised="NNP"><w form="a" tags="NN"/></taglexicon>'),
+        "taglexicon: unknown attribute 'capitalised'",
+    ),
+    (
+        _in_bundle('<tagmap sorce="PTB"><map from="NN" to="N"/></tagmap>'),
+        "tagmap: unknown attribute 'sorce'",
+    ),
+    (
+        _in_bundle('<semlex lang="de"><entry lemma="a" pos="N" semclass="c"/></semlex>'),
+        "semlex: unknown attribute 'lang'",
+    ),
+    (
+        _in_bundle('<rules order="x"><rule from="A" to="B" trigger="prev_tag" value="X"/></rules>'),
+        "rules: unknown attribute 'order'",
+    ),
+    (
+        _in_bundle('<functions gf="positional"><function gf="subject"><cat name="NP"/></function></functions>'),
+        "functions: unknown attribute 'gf'",
+    ),
+    (
+        _in_bundle('<abbreviations lang="en"><abbr form="Dr."/></abbreviations>'),
+        "abbreviations: unknown attribute 'lang'",
+    ),
+    (
+        _in_bundle('<lemmarules order="longest"><lemrule strip="s" minstem="3"/></lemmarules>'),
+        "lemmarules: unknown attribute 'order'",
+    ),
+    (
+        _in_bundle('<frames lang="en"/>'),
+        "frames: unknown attribute 'lang'",
+    ),
+    (
+        _in_bundle('<ontology root="entity"><concept id="entity"/></ontology>'),
+        "ontology: unknown attribute 'root'",
+    ),
+    (
+        _in_bundle('<structmap lang="en"/>'),
+        "structmap: unknown attribute 'lang'",
+    ),
+    (
+        _in_bundle('<abbreviations><abbr form="Dr."/><abbr form="e.g." lang="en"/></abbreviations>'),
+        "abbreviations/abbr[2]: unknown attribute 'lang'",
+    ),
+    (
+        _in_bundle('<taglexicon><w form="a" tags="NN" lemma="a"/></taglexicon>'),
+        "taglexicon/w[1]: unknown attribute 'lemma'",
+    ),
+    (
+        _in_bundle('<tagmap><map from="NN" to="N"/><map from="NNS" to="N" number="pl"/></tagmap>'),
+        "tagmap/map[2]: unknown attribute 'number'",
+    ),
+    (
+        _in_bundle('<ontology><concept id="a" label="A"/></ontology>'),
+        "ontology/concept[1]: unknown attribute 'label'",
+    ),
+    (
+        _in_bundle('<ontology><concept id="a"><isa ref="b" kind="part"/></concept><concept id="b"/></ontology>'),
+        "ontology/concept[1]/isa[1]: unknown attribute 'kind'",
+    ),
+    (
+        _in_bundle('<ontology><concept id="a"/><lexmap semclass="s" concept="a" weight="1"/></ontology>'),
+        "ontology/lexmap[1]: unknown attribute 'weight'",
+    ),
+    # The loader messages of the keyed records, pinned.
+    (
+        _in_bundle('<ontology><concept id="a"/><concept id="b"><isa ref="a"/><isa ref="x"/></concept></ontology>'),
+        "ontology/concept[2]/isa[2]: isa target 'x' is not a concept",
+    ),
+    (
+        _in_bundle('<ontology><concept id="a"/><lexmap semclass="s" concept="a"/>'
+                   '<lexmap semclass="t" concept="x"/></ontology>'),
+        "ontology/lexmap[2]: lexmap target 'x' is not a concept",
+    ),
+    (
+        _in_bundle('<ontology><concept id="a"/><concept/></ontology>'),
+        "ontology/concept[2]: missing required attribute 'id'",
+    ),
+    (
+        _in_bundle('<tagmap><map from="NN" to="N"/><map from="NNS"/></tagmap>'),
+        "tagmap/map[2]: missing required attribute 'to'",
+    ),
+    (
+        "<resources/>",
+        "resources: missing required attribute 'lang'",
+    ),
+    # A tagset-map target names a parser category, so it cannot be empty.
+    (
+        _in_bundle('<tagmap><map from="NN" to="N"/><map from="XX" to=""/></tagmap>'),
+        "tagmap/map[2]: empty target tag",
+    ),
+    # A set member, like any other key, is declared once.
+    (
+        _in_bundle('<abbreviations><abbr form="Dr."/><abbr form="Dr."/></abbreviations>'),
+        "abbreviations/abbr[2]: duplicate abbreviation 'Dr.'",
+    ),
+    (
+        _in_bundle('<ontology><concept id="a"><isa ref="b"/><isa ref="b"/></concept><concept id="b"/></ontology>'),
+        "ontology/concept[1]/isa[2]: duplicate isa target 'b'",
+    ),
 ]
 
 
@@ -606,6 +714,51 @@ def test_malformed_document_messages_are_exact(document, message):
     with pytest.raises(MalformedResource) as exc:
         loads_bundle(document)
     assert str(exc.value) == message
+
+
+def _located(elem: ET.Element, location: str):
+    """``elem`` and every element below it, each with the location the loader names."""
+    yield elem, location
+    counts: dict[str, int] = {}
+    for child in elem:
+        counts[child.tag] = counts.get(child.tag, 0) + 1
+        yield from _located(child, f"{location}/{child.tag}[{counts[child.tag]}]")
+
+
+def _bundle_elements(root: ET.Element) -> list[tuple[ET.Element, str]]:
+    return [(root, "resources"), *(pair for section in root for pair in _located(section, section.tag))]
+
+
+def test_every_element_refuses_a_stray_attribute_but_features(en_bio, de_core):
+    # Each element of both shipped bundles in turn carries zz="1".  Only a
+    # grammar <rule> and a <cat> take it, as a feature of their category.
+    tags = set()
+    for bundle in (en_bio, de_core):
+        text = serialize_bundle(bundle)
+        for k in range(len(_bundle_elements(ET.fromstring(text)))):
+            root = ET.fromstring(text)
+            elem, location = _bundle_elements(root)[k]
+            elem.set("zz", "1")
+            document = ET.tostring(root, encoding="unicode")
+            tags.add(elem.tag)
+            if elem.tag == "cat" or location.startswith("grammar/"):
+                i, *j = (int(n) - 1 for n in re.findall(r"\[(\d+)\]", location))
+                loaded = loads_bundle(document)
+                if location.startswith("functions/"):
+                    category = loaded.functions[i].category
+                else:
+                    rule = loaded.grammar.rules[i]
+                    category = rule.rhs[j[0]] if j else rule.lhs
+                assert ("zz", "1") in category.features, location
+            else:
+                with pytest.raises(MalformedResource) as exc:
+                    loads_bundle(document)
+                assert str(exc.value) == f"{location}: unknown attribute 'zz'"
+    assert tags == {
+        "resources", "abbreviations", "abbr", "taglexicon", "w", "rules", "rule", "tagmap", "map",
+        "grammar", "cat", "functions", "function", "lemmarules", "lemrule", "semlex", "entry",
+        "frames", "frame", "slot", "ontology", "concept", "isa", "lexmap", "structmap", "pattern", "m",
+    }
 
 
 def test_unary_cycle_not_involving_all_rules():
@@ -709,6 +862,8 @@ def _slot(role: str, gf: str) -> FrameSlot:
     [
         (lambda: ResourceBundle("en", tag_lexicon={"a": ("NN",), "b": ()}),
          ValueError, "empty tag list for form 'b'"),
+        (lambda: ResourceBundle("en", tagset_map={"NN": "N", "XX": ""}),
+         ValueError, "empty target tag for source tag 'XX'"),
         (lambda: ResourceBundle("en", sem_lexicon=(
             SemLexEntry("a", "N", "x"), SemLexEntry("b", "N", "x"), SemLexEntry("a", "N", "y"))),
          ValueError, r"duplicate entry for \('a', 'N'\)"),
@@ -727,7 +882,7 @@ def _slot(role: str, gf: str) -> FrameSlot:
         (lambda: GrammaticalFunction("subject", Category("NP", {"name": "x"})),
          ValueError, r"feature keys \['name'\] are reserved"),
     ],
-    ids=["untagged-form", "semlex-pair", "isa-target", "isa-source", "lexmap-target",
+    ids=["untagged-form", "empty-map-target", "semlex-pair", "isa-target", "isa-source", "lexmap-target",
          "isa-cycle", "slot-gf", "slot-role", "function-cat"],
 )
 def test_constructors_refuse_what_the_loader_refuses_in_code(build, error, message):
