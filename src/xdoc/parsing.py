@@ -1,46 +1,52 @@
-"""Bottom-up chart parsing with ambiguity packing.
+"""Bottom-up chart parsing by bit-vector recognition, trees read on demand.
 
-The parser runs an agenda over passive edges.  Passive edges are packed:
-one node per (category incl. features, start, end) holding every
-distinct derivation, so exponential ambiguity costs polynomial chart
-space.  Features are flat key/value pairs compared by equality on
-shared keys; a parent edge takes its head child's features overlaid
-with the rule's lhs features (lhs wins on conflict).  This is a
-deliberate reduction of unification, sufficient for case marking.
+A chart node is a (category incl. features, start, end) triple: one
+node holds every derivation of that category over that span, so
+exponential ambiguity costs polynomial space.  Features are flat
+key/value pairs compared by equality on shared keys; a parent takes its
+head child's features overlaid with the rule's lhs features (lhs wins on
+conflict).  This is a deliberate reduction of unification, sufficient
+for case marking.
 
-The chart is integer-coded.  Every category is interned to a small int
-in the grammar's compiled tables (:attr:`Grammar.compiled`), nodes are
-keyed by (category id, start, end), and active edges are plain
-(stamp, rule index, start, children) tuples.  Feature matches and parent
-categories depend only on the grammar and the categories involved, so
-they are memoised there by category id and shared by every parse with
-that grammar object.  Nodes are numbered in creation order, the first
-``len(tags)`` being the leaves, and each node holds its
-:class:`Category`.
-
-Each active edge meets each passive node once, so no derivation is
-made twice and none needs a duplicate check.  A new active edge is
-stamped with the number of nodes made so far and meets at once the
-passives it can extend, all of which have smaller ids; an explicit
-stack works these meetings depth-first.  When the agenda later takes
-node P, only the edges waiting for it whose stamp is at most P's id
-meet it; stamps never decrease along a waiting list, so that walk stops
-at the first later edge, which met P when it was made.
-
+The chart stores no derivation.  Recognition (Schmid 2004, "Efficient
+Parsing of Highly Ambiguous Context-Free Grammars with Bit Vectors")
+keeps, per start position and category, an ``int`` whose set bits are
+the ends of that category's nodes there.  Start positions are filled
+right to left.  At each start a worklist sends only newly found ends of
+a category through the rules whose first symbol it fills; a rule's
+later symbols are reached by OR-ing the end masks of the matching
+categories at each frontier position, the frontier first ANDed with the
+positions where a category of the needed name starts.  The head child's
+category decides the parent's, so frontiers split by it at the head
+symbol.  Every category is interned to a small int in the grammar's
+compiled tables (:attr:`Grammar.compiled`), which memoise feature
+matches and parent categories for every parse with that grammar object.
 Because the chart is built bottom-up without top-down filtering it
 keeps every constituent, which the chunk fallback exploits when no
 complete parse exists.
 
-:func:`parse` charts any grammar, but the readers raise
+Derivations are read only when a reader asks, by one enumerator
+(:func:`_derivations`).  For a node it yields each derivation as a rule
+index and child nodes, in (rule index, child ends) order; derivations
+that tie on both, whose children differ only in category, come in the
+order of their child categories' (name, features), compared slot by
+slot.  That order uses no intern id, so any grammar object, warm or
+cold, reads the same trees.  A leaf's derivation (rule index None, no
+children) comes first.  Where a reader must choose among nodes, several
+start-symbol roots or several longest chunk candidates, it ranks them
+by their least rule index (their first derivation's), then category.
+
+:func:`parse` charts any grammar, but the tree readers raise
 :class:`ResourceError` unless it has no unary rule cycle, as validation
-demands.  Its charts are acyclic: every node has a tree and none recurs
-within one, so no reader backtracks.  Trees come in derivation order
-(rule index, then child spans).  :func:`first_parse` and :func:`chunks`
-read first trees, at the cost of their size.  Only
-:func:`complete_parses` lists every tree, in one post-order walk whose
-per-node lists stop at ``TREE_LIMIT``: no node has more trees than a
-root above it.  Every walk keeps an explicit stack, so no input depth
-meets the recursion limit.
+demands.  Such charts are acyclic: every node has a tree and none recurs
+within one, so no reader backtracks.  :func:`first_parse` and
+:func:`chunks` take each node's first derivation, at the cost of the
+tree's size.  Only :func:`complete_parses` lists every tree, in one
+post-order walk whose per-node lists stop at ``TREE_LIMIT``: no node has
+more trees than a root above it.  Every walk keeps an explicit stack, so
+no input depth meets the recursion limit.  :attr:`Chart.nodes` lists
+every node with its derivations, built on first use from the same
+enumerator for tests and tracing; no reader needs it.
 Trees are :class:`ParseTree` values, a :class:`typing.NamedTuple`
 built once per tree node: immutable and hashable, and, being a tuple,
 a tree unpacks, has a ``len`` and equals a plain tuple of its fields.
@@ -49,11 +55,11 @@ a tree unpacks, has a ``len`` and equals a plain tuple of its fields.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from functools import cached_property
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import EmptyInput, ResourceError, TooAmbiguous
-from .resources import Category, Grammar
+from .resources import Category, CompiledGrammar, Grammar
 
 __all__ = [
     "TREE_LIMIT",
@@ -69,9 +75,11 @@ __all__ = [
 
 TREE_LIMIT = 256
 
-# A derivation is (rule index, child node ids); rule index None marks a
-# terminal leaf covering exactly one input position.
-Derivation = tuple[int | None, tuple[int, ...]]
+# A node is (category id, start, end).  A derivation is (rule index,
+# child nodes); rule index None marks a terminal leaf covering exactly
+# one input position.
+Key = tuple[int, int, int]
+Derivation = tuple[int | None, tuple[Key, ...]]
 
 
 class ParseTree(NamedTuple):
@@ -103,15 +111,14 @@ class ParseTree(NamedTuple):
             stack.extend(reversed(node.children))
 
 
-@dataclass(slots=True)
-class _Node:
-    """One packed passive edge."""
+class ChartNode(NamedTuple):
+    """One node of :attr:`Chart.nodes`; ``derivations`` name children by id."""
 
     id: int
     category: Category
     start: int
     end: int
-    derivations: list[Derivation]
+    derivations: list[tuple[int | None, tuple[int, ...]]]
 
 
 def features_match(needed: Category, found: Category) -> bool:
@@ -128,28 +135,102 @@ def _parent_category(lhs: Category, head_child: Category) -> Category:
     return Category(lhs.name, merged)
 
 
+def _matches(grammar: Grammar, rule: int, dot: int, cat: int) -> bool:
+    """Whether category ``cat`` may fill rhs position ``dot`` of ``rule`` (memoised)."""
+    compiled = grammar.compiled
+    key = (rule, dot, cat)
+    matched = compiled.matches.get(key)
+    if matched is None:
+        matched = compiled.matches[key] = features_match(
+            grammar.rules[rule].rhs[dot], compiled.categories[cat]
+        )
+    return matched
+
+
+def _parent(grammar: Grammar, rule: int, head: int) -> int:
+    """The category id ``rule`` completes with head child category ``head`` (memoised)."""
+    compiled = grammar.compiled
+    key = (rule, head)
+    parent = compiled.parents.get(key)
+    if parent is None:
+        parent = compiled.parents[key] = compiled.intern(
+            _parent_category(grammar.rules[rule].lhs, compiled.categories[head])
+        )
+    return parent
+
+
+def _category_key(compiled: CompiledGrammar, cat: int) -> tuple:
+    category = compiled.categories[cat]
+    return (category.name, category.features)
+
+
 class Chart:
-    """Packed edge store over one tag sequence, filled by :func:`parse`."""
+    """End-position bit vectors over one tag sequence, filled by :func:`parse`.
 
-    def __init__(self, length: int, grammar: Grammar):
-        self.length = length
+    ``_at[p]`` maps each category name to the (category id, end mask)
+    pairs of the nodes starting at ``p``; bit ``e`` of a mask is set iff
+    the node ends at ``e``.  ``_starts[name]`` has bit ``p`` set iff some
+    category of that name starts at ``p``, and ``_leaves[p]`` is the
+    category id of the tag at ``p``.
+    """
+
+    def __init__(self, grammar: Grammar, leaves: list[int]):
+        self.length = len(leaves)
         self.grammar = grammar
-        self.nodes: list[_Node] = []
-        self._by_start_name: dict[tuple[int, str], list[int]] = {}
-        self._by_start: dict[int, list[int]] = {}
+        self._leaves = leaves
+        self._at: list[dict[str, list[tuple[int, int]]]] = [{} for _ in leaves]
+        self._starts: dict[str, int] = {}
 
-    def node(self, node_id: int) -> _Node:
+    @cached_property
+    def nodes(self) -> list[ChartNode]:
+        """Every node with its derivations: leaves first, then by (start, end, category).
+
+        Ids index this list; the derivation lists come from the reader's
+        enumerator.  Built on first use and kept; no reader needs it.
+        """
+        compiled = self.grammar.compiled
+        leaves = [(cat, i, i + 1) for i, cat in enumerate(self._leaves)]
+        others = sorted(
+            ((cat, start, end)
+             for start, names in enumerate(self._at)
+             for pairs in names.values()
+             for cat, ends in pairs
+             for end in _bits(ends)
+             if end != start + 1 or cat != self._leaves[start]),
+            key=lambda key: (key[1], key[2], _category_key(compiled, key[0])),
+        )
+        keys = leaves + others
+        ids = {key: i for i, key in enumerate(keys)}
+        return [
+            ChartNode(i, compiled.categories[cat], start, end, [
+                (rule, tuple(ids[child] for child in children))
+                for rule, children in _derivations(self, (cat, start, end))
+            ])
+            for i, (cat, start, end) in enumerate(keys)
+        ]
+
+    def node(self, node_id: int) -> ChartNode:
         return self.nodes[node_id]
+
+
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def parse(
     tags: Sequence[str | tuple[str, Mapping[str, str]]], grammar: Grammar
 ) -> Chart:
-    """Build the full chart over a parser-tag sequence.
+    """Recognize every constituent over a parser-tag sequence.
 
     Each input item is a tag name or a (tag name, features) pair.  The
-    chart is closed under the grammar: a passive edge (A, i, j) exists
-    iff A derives tags[i..j] under feature matching.
+    chart is closed under the grammar: a node (A, i, j) exists iff A
+    derives tags[i..j] under feature matching.
     """
     if not tags:
         raise EmptyInput("cannot parse an empty tag sequence")
@@ -157,156 +238,222 @@ def parse(
     compiled = grammar.compiled
     intern = compiled.intern
     category_ids = compiled.category_ids
-    terminals: list[int] = []
+    leaves: list[int] = []
     for item in tags:
         if isinstance(item, str):
             cat = category_ids.get((item, ()))
-            terminals.append(intern(Category(item)) if cat is None else cat)
+            leaves.append(intern(Category(item)) if cat is None else cat)
         else:
             name, features = item
-            terminals.append(intern(Category(name, features)))
+            leaves.append(intern(Category(name, features)))
 
-    chart = Chart(len(terminals), grammar)
-    nodes = chart.nodes
-    by_start_name = chart._by_start_name
-    by_start = chart._by_start
-    rules = grammar.rules
+    chart = Chart(grammar, leaves)
+    at = chart._at
+    starts = chart._starts
     rules_by_first = compiled.rules_by_first
     rhs_names = compiled.rhs_names
     heads = compiled.heads
-    last_dot = [len(names) - 1 for names in rhs_names]
     categories = compiled.categories
     matches = compiled.matches
     parents = compiled.parents
 
-    # Node ids by (category id, start, end), and per node id the category
-    # id and end that every meeting reads; needed only while parsing.
-    by_key: dict[tuple[int, int, int], int] = {}
-    node_cat: list[int] = []
-    node_end: list[int] = []
-    # Active edges as (stamp, rule index, start, children), keyed by the
-    # end position and the name of the category they need next.  The
-    # stamp is the node count when the edge was made.
-    waiting: dict[tuple[int, str], list[tuple[int, int, int, tuple[int, ...]]]] = {}
-
-    def add_node(cat: int, start: int, end: int, deriv: Derivation) -> None:
-        node_id = len(nodes)
-        category = categories[cat]
-        nodes.append(_Node(node_id, category, start, end, [deriv]))
-        node_cat.append(cat)
-        node_end.append(end)
-        by_key[(cat, start, end)] = node_id
-        by_start_name.setdefault((start, category.name), []).append(node_id)
-        by_start.setdefault(start, []).append(node_id)
-
-    for i, cat in enumerate(terminals):  # node i is the leaf at position i
-        add_node(cat, i, i + 1, (None, ()))
-
-    # The agenda is FIFO over new nodes, which is node id order.  Taking
-    # node P makes a stack of meetings (rule index, start, children,
-    # passive id): the rules whose first symbol P can fill, then the
-    # edges waiting for P.  Edges stamped after P was made have met it
-    # already.  Edges made below wait at positions after P's start, so
-    # that waiting list does not grow while the stack is worked.
-    node_id = 0
-    while node_id < len(nodes):
-        node = nodes[node_id]
-        name = node.category.name
-        todo = [(rule, node.start, (), node_id) for rule in rules_by_first.get(name, ())]
-        for stamp, rule, start, children in waiting.get((node.start, name), ()):
-            if stamp > node_id:
-                break
-            todo.append((rule, start, children, node_id))
-        todo.reverse()
-        while todo:
-            rule, start, children, passive = todo.pop()
-            dot = len(children)
-            cat = node_cat[passive]
-            match_key = (rule, dot, cat)
-            matched = matches.get(match_key)
-            if matched is None:
-                matched = matches[match_key] = features_match(rules[rule].rhs[dot], categories[cat])
-            if not matched:
-                continue
-            children += (passive,)
-            end = node_end[passive]
-            if dot == last_dot[rule]:
-                head = node_cat[children[heads[rule]]]
-                parent_key = (rule, head)
-                parent = parents.get(parent_key)
-                if parent is None:
-                    parent = parents[parent_key] = intern(
-                        _parent_category(rules[rule].lhs, categories[head])
-                    )
-                packed = by_key.get((parent, start, end))
-                if packed is None:
-                    add_node(parent, start, end, (rule, children))
+    for i in range(len(leaves) - 1, -1, -1):
+        # Category id -> end mask of the nodes found so far at i; the
+        # worklist holds (category id, ends not yet sent through rules).
+        found = {leaves[i]: 1 << (i + 1)}
+        work = [(leaves[i], 1 << (i + 1))]
+        while work:
+            cat, new = work.pop()
+            for rule in rules_by_first.get(categories[cat].name, ()):
+                matched = matches.get((rule, 0, cat))
+                if matched is None:
+                    matched = _matches(grammar, rule, 0, cat)
+                if not matched:
+                    continue
+                head = heads[rule]
+                if head:
+                    group = -1  # the parent is known once the head is
                 else:
-                    nodes[packed].derivations.append((rule, children))
-                continue
-            needed = (end, rhs_names[rule][dot + 1])
-            waiting.setdefault(needed, []).append((len(nodes), rule, start, children))
-            # The fundamental rule with every passive made so far, each
-            # worked out before the next.  Nodes made meanwhile start at
-            # ``start`` < end, so this list does not grow either.
-            passives = by_start_name.get(needed)
-            if passives:
-                todo += [(rule, start, children, p) for p in reversed(passives)]
-        node_id += 1
-
+                    group = parents.get((rule, cat))
+                    if group is None:
+                        group = _parent(grammar, rule, cat)
+                names = rhs_names[rule]
+                groups = ((group, new),)
+                for dot in range(1, len(names)):
+                    name = names[dot]
+                    reach = starts.get(name, 0)
+                    frontiers: dict[int, int] = {}
+                    for group, frontier in groups:
+                        frontier &= reach
+                        while frontier:
+                            low = frontier & -frontier
+                            frontier ^= low
+                            for other, ends in at[low.bit_length() - 1][name]:
+                                matched = matches.get((rule, dot, other))
+                                if matched is None:
+                                    matched = _matches(grammar, rule, dot, other)
+                                if not matched:
+                                    continue
+                                parent = group
+                                if dot == head:
+                                    parent = parents.get((rule, other))
+                                    if parent is None:
+                                        parent = _parent(grammar, rule, other)
+                                frontiers[parent] = frontiers.get(parent, 0) | ends
+                    groups = frontiers.items()
+                    if not frontiers:
+                        break
+                for parent, ends in groups:
+                    old = found.get(parent, 0)
+                    ends &= ~old
+                    if ends:
+                        found[parent] = old | ends
+                        work.append((parent, ends))
+        here = at[i]
+        bit = 1 << i
+        for cat, ends in found.items():
+            name = categories[cat].name
+            pairs = here.get(name)
+            if pairs is None:
+                here[name] = [(cat, ends)]
+                starts[name] = starts.get(name, 0) | bit
+            else:
+                pairs.append((cat, ends))
     return chart
 
 
-def _readable(chart: Chart) -> list[_Node]:
-    """The chart's nodes; :class:`ResourceError` if its grammar has a unary cycle."""
+def _derivations(chart: Chart, node: Key) -> Iterator[Derivation]:
+    """The derivations of ``node``, in the order the module docstring gives.
+
+    For each rule of the node's name in index order, a depth-first walk
+    places the children one by one, trying each child's ends in
+    ascending order and the next only when the walk comes back to it;
+    the last child must end at the node's end.  Which categories may
+    fill a child depends on its span alone, so each way to tile the
+    span yields one derivation per choice of child categories, in
+    category order.
+    """
+    cat, start, end = node
+    if end == start + 1 and chart._leaves[start] == cat:
+        yield (None, ())
+    grammar = chart.grammar
+    compiled = grammar.compiled
+    matches = compiled.matches
+    parents = compiled.parents
+    at = chart._at
+    starts = chart._starts
+    below = (1 << end) - 1
+    for rule in compiled.rules_by_lhs.get(compiled.categories[cat].name, ()):
+        names = compiled.rhs_names[rule]
+        pairs = at[start].get(names[0])
+        if pairs is None:
+            continue
+        head = compiled.heads[rule]
+        last = len(names) - 1
+        # A frame places child ``len(path)`` at ``pos`` from ``pairs``,
+        # the (category id, end mask) pairs there with its name.  Once
+        # placed, ``kids`` are the categories that fit it and ``reach``
+        # the ends still to try.  ``path`` holds, per child placed
+        # before it, its nodes in category order (one category's list
+        # is built inline: most children have one, and a call to
+        # :func:`_placed` would cost more than the list).
+        stack: list = [((), start, pairs, None, 0)]
+        while stack:
+            path, pos, pairs, kids, reach = stack.pop()
+            dot = len(path)
+            if kids is None:
+                kids = []
+                for other, ends in pairs:
+                    if dot == last and not ends >> end & 1:
+                        continue
+                    matched = matches.get((rule, dot, other))
+                    if matched is None:
+                        matched = _matches(grammar, rule, dot, other)
+                    if matched and dot == head:
+                        parent = parents.get((rule, other))
+                        matched = (parent if parent is not None else _parent(grammar, rule, other)) == cat
+                    if matched:
+                        kids.append(other)
+                        reach |= ends
+                if not kids:
+                    continue
+                if dot == last:
+                    placed = [(kids[0], pos, end)] if len(kids) == 1 else _placed(compiled, kids, pos, end)
+                    for children in itertools.product(*path, placed):
+                        yield (rule, children)
+                    continue
+                reach &= below & starts.get(names[dot + 1], 0)
+            if not reach:
+                continue
+            low = reach & -reach
+            if reach != low:  # come back for the later ends
+                stack.append((path, pos, pairs, kids, reach ^ low))
+            e = low.bit_length() - 1
+            options = kids if len(kids) == 1 else [
+                other for other, ends in pairs if other in kids and ends & low
+            ]
+            stack.append((
+                path + ([(options[0], pos, e)] if len(options) == 1 else _placed(compiled, options, pos, e),),
+                e,
+                at[e][names[dot + 1]],
+                None,
+                0,
+            ))
+
+
+def _placed(compiled: CompiledGrammar, cats: list[int], start: int, end: int) -> list[Key]:
+    """The nodes of categories ``cats`` over one span, in category order."""
+    return sorted(((cat, start, end) for cat in cats), key=lambda node: _category_key(compiled, node[0]))
+
+
+def _readable(chart: Chart) -> None:
+    """:class:`ResourceError` if the chart's grammar has a unary cycle."""
     cycle = chart.grammar.compiled.cycle_rules
     if cycle:
         lhs = chart.grammar.rules[cycle[0]].lhs.name
         where = f"grammar/rule[{cycle[0] + 1}]"
         raise ResourceError(f"{where}: unary cycle through {lhs!r}; no tree is read")
-    return chart.nodes
 
 
-def _order(nodes: list[_Node]) -> Callable[[Derivation], tuple]:
-    """The sort key of a node's derivations: rule index, then child spans.
-
-    Children tile their parent's span, so their ends decide their spans.
-    Only a leaf has the derivation without a rule, and it has no other.
-    """
-    return lambda deriv: (deriv[0], [nodes[child].end for child in deriv[1]])
-
-
-def _first_tree(chart: Chart, root: _Node) -> ParseTree:
-    """``root``'s first tree: each node's least derivation, the earliest on ties."""
-    nodes = chart.nodes
-    rules = chart.grammar.rules
-    key = _order(nodes)
+def _first_trees(chart: Chart, roots: Sequence[Key]) -> list[ParseTree]:
+    """Each root's first tree: every node's first derivation."""
+    compiled = chart.grammar.compiled
+    categories = compiled.categories
+    heads = compiled.heads
+    leaves = chart._leaves
     built: list[ParseTree] = []  # finished subtrees, siblings in order
-    stack: list[tuple[_Node, Derivation | None]] = [(root, None)]
+    # A node to read, or a (node, derivation) pair whose children are built.
+    stack: list = list(reversed(roots))
     while stack:
-        node, deriv = stack.pop()
-        if deriv is None:  # first visit: choose the derivation, then read its children
-            derivations = node.derivations
-            deriv = derivations[0] if len(derivations) == 1 else min(derivations, key=key)
-            if deriv[0] is None:
-                built.append(ParseTree(node.category, node.start, node.end))
-            else:
-                stack.append((node, deriv))
-                stack.extend((nodes[child], None) for child in reversed(deriv[1]))
+        item = stack.pop()
+        if len(item) == 3:
+            cat, start, end = item
+            if end == start + 1 and leaves[start] == cat:  # a leaf's first derivation is its own
+                built.append(ParseTree(categories[cat], start, end))
+                continue
+            deriv = next(_derivations(chart, item))
+            stack.append((item, deriv))
+            stack.extend(reversed(deriv[1]))
             continue
-        rule_idx, children = deriv
+        (cat, start, end), (rule_idx, children) = item
         kids = tuple(built[-len(children):])
         del built[-len(children):]
-        head = rules[rule_idx].head - 1
-        built.append(ParseTree(node.category, node.start, node.end, kids, head, rule_idx))
-    return built[0]
+        built.append(ParseTree(categories[cat], start, end, kids, heads[rule_idx], rule_idx))
+    return built
 
 
-def _roots(chart: Chart, start_symbol: str) -> list[_Node]:
-    """The start symbol's nodes over the full span, in id order."""
-    nodes = _readable(chart)
-    from_zero = chart._by_start_name.get((0, start_symbol), ())  # ids ascend, as in chart.nodes
-    return [nodes[i] for i in from_zero if nodes[i].end == chart.length]
+def _rank(chart: Chart, node: Key) -> tuple:
+    """(least rule index, category) of ``node``; a leaf's rule ranks first."""
+    rule = next(_derivations(chart, node))[0]
+    return (-1 if rule is None else rule, _category_key(chart.grammar.compiled, node[0]))
+
+
+def _roots(chart: Chart, start_symbol: str) -> list[Key]:
+    """The start symbol's nodes over the full span, by :func:`_rank`."""
+    _readable(chart)
+    n = chart.length
+    roots = [(cat, 0, n) for cat, ends in chart._at[0].get(start_symbol, ()) if ends >> n & 1]
+    return sorted(roots, key=lambda root: _rank(chart, root)) if len(roots) > 1 else roots
 
 
 def first_parse(chart: Chart, start_symbol: str) -> ParseTree | None:
@@ -316,44 +463,48 @@ def first_parse(chart: Chart, start_symbol: str) -> ParseTree | None:
     :class:`TooAmbiguous`.
     """
     roots = _roots(chart, start_symbol)
-    return _first_tree(chart, roots[0]) if roots else None
+    return _first_trees(chart, roots[:1])[0] if roots else None
 
 
 def complete_parses(chart: Chart, start_symbol: str) -> list[ParseTree]:
     """Every distinct derivation of the start symbol over the full span.
 
-    Trees are enumerated deterministically (rule index, then child
-    spans).  Raises :class:`TooAmbiguous` beyond ``TREE_LIMIT`` trees.
+    Trees come in derivation order, roots by least rule index, then
+    category.  Raises
+    :class:`TooAmbiguous` beyond ``TREE_LIMIT`` trees.
     """
     roots = _roots(chart, start_symbol)
-    nodes = chart.nodes
-    rules = chart.grammar.rules
-    key = _order(nodes)
-    trees_of: dict[int, list[ParseTree]] = {}
-    stack = [node.id for node in roots]
+    compiled = chart.grammar.compiled
+    categories = compiled.categories
+    derivations_of: dict[Key, list[Derivation]] = {}
+    trees_of: dict[Key, list[ParseTree]] = {}
+    stack = list(roots)
     while stack:  # post-order: a node's lists are built after its children's
-        node_id = stack[-1]
-        if node_id in trees_of:
+        node = stack[-1]
+        if node in trees_of:
             stack.pop()
             continue
-        node = nodes[node_id]
-        unread = [c for _, children in node.derivations for c in children if c not in trees_of]
+        derivations = derivations_of.get(node)
+        if derivations is None:
+            derivations = derivations_of[node] = list(_derivations(chart, node))
+        unread = [c for _, children in derivations for c in children if c not in trees_of]
         if unread:
             stack.extend(unread)
             continue
         stack.pop()
+        cat, start, end = node
         trees: list[ParseTree] = []
-        for rule_idx, children in sorted(node.derivations, key=key):
+        for rule_idx, children in derivations:
             if rule_idx is None:
-                trees.append(ParseTree(node.category, node.start, node.end))
+                trees.append(ParseTree(categories[cat], start, end))
                 continue
-            head = rules[rule_idx].head - 1
+            head = compiled.heads[rule_idx]
             for combo in itertools.product(*(trees_of[c] for c in children)):
                 if len(trees) == TREE_LIMIT:
                     raise TooAmbiguous(TREE_LIMIT)
-                trees.append(ParseTree(node.category, node.start, node.end, combo, head, rule_idx))
-        trees_of[node_id] = trees
-    listed = [tree for node in roots for tree in trees_of[node.id]]
+                trees.append(ParseTree(categories[cat], start, end, combo, head, rule_idx))
+        trees_of[node] = trees
+    listed = [tree for root in roots for tree in trees_of[root]]
     if len(listed) > TREE_LIMIT:
         raise TooAmbiguous(TREE_LIMIT)
     return listed
@@ -362,23 +513,38 @@ def complete_parses(chart: Chart, start_symbol: str) -> list[ParseTree]:
 def chunks(chart: Chart) -> list[ParseTree]:
     """Greedy left-to-right cover by maximal constituents.
 
-    At each position the longest passive constituent starting there is
-    taken (ties broken by grammar rule order, then chart order) and read
-    as its first tree; where none exists the bare terminal is emitted.
-    The result covers the whole span without overlap.
+    At each position the longest constituent starting there is taken,
+    ties broken by the least rule index among its derivations, then by
+    category order, and read as its first tree; where none exists the
+    bare terminal is emitted.  The result covers the whole span without
+    overlap.
     """
-    nodes = _readable(chart)
-    out: list[ParseTree] = []
+    _readable(chart)
+    cover: list[Key] = []
     pos = 0
     while pos < chart.length:
-        # The least (-end, least rule index, id) among the constituents
-        # starting here, after the leaf at ``pos``, which comes first.
-        ranks = [(-nodes[i].end, min(r for r, _ in nodes[i].derivations), i)
-                 for i in chart._by_start[pos][1:]]
-        node = nodes[min(ranks)[2]] if ranks else nodes[pos]
-        out.append(_first_tree(chart, node))
-        pos = node.end
-    return out
+        # The constituents ending furthest from ``pos``; the leaf at
+        # ``pos`` is none, though its category may have longer nodes.
+        leaf = chart._leaves[pos]
+        reach = pos + 1
+        longest: list[int] = []
+        for pairs in chart._at[pos].values():
+            for cat, ends in pairs:
+                end = ends.bit_length() - 1
+                if end < reach or (cat == leaf and end == pos + 1):
+                    continue
+                if end > reach:
+                    reach, longest = end, []
+                longest.append(cat)
+        if len(longest) == 1:
+            node = (longest[0], pos, reach)
+        elif longest:
+            node = min(((cat, pos, reach) for cat in longest), key=lambda key: _rank(chart, key))
+        else:
+            node = (leaf, pos, pos + 1)
+        cover.append(node)
+        pos = node[2]
+    return _first_trees(chart, cover)
 
 
 def render_bracketed(tree: ParseTree, forms: Sequence[str] | None = None) -> str:

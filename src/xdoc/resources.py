@@ -133,9 +133,12 @@ class CompiledGrammar:
     """Chart-parser tables for one grammar object, shared by all its parses.
 
     ``rules_by_first`` lists rule indices by the name of their first rhs
-    symbol; ``rhs_names`` and ``heads`` (0-based) give each rule's shape.
+    symbol and ``rules_by_lhs`` by the name of their lhs; ``rhs_names``
+    and ``heads`` (0-based) give each rule's shape.
     ``cycle_rules`` lists the rules on a unary rule cycle, whose charts
-    the tree readers refuse.
+    the tree readers refuse.  ``dominated`` maps each lhs name to the
+    names its nodes can dominate, and :meth:`dominators` inverts it for
+    a set of names, memoised per set.
     Categories are interned: :meth:`intern` gives each distinct category
     (name plus feature items) a small int the first time a parse meets
     it, and ``categories`` maps the id back to the :class:`Category`.
@@ -150,14 +153,26 @@ class CompiledGrammar:
     """
 
     rules_by_first: dict[str, tuple[int, ...]]
+    rules_by_lhs: dict[str, tuple[int, ...]]
     rhs_names: tuple[tuple[str, ...], ...]
     heads: tuple[int, ...]
     cycle_rules: tuple[int, ...]
+    dominated: dict[str, frozenset[str]]
     categories: list[Category] = field(default_factory=list)
     category_ids: dict[tuple, int] = field(default_factory=dict)
     matches: dict[tuple[int, int, int], bool] = field(default_factory=dict)
     parents: dict[tuple[int, int], int] = field(default_factory=dict)
+    _dominators: dict[frozenset[str], frozenset[str]] = field(default_factory=dict, repr=False, compare=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
+
+    def dominators(self, names: frozenset[str]) -> frozenset[str]:
+        """The lhs names whose nodes can dominate a node named in ``names``."""
+        found = self._dominators.get(names)
+        if found is None:
+            found = self._dominators[names] = frozenset(
+                lhs for lhs, below in self.dominated.items() if not below.isdisjoint(names)
+            )
+        return found
 
     def intern(self, category: Category) -> int:
         """The id of ``category``, assigned on first sight.
@@ -203,6 +218,24 @@ def _unary_cycle_rules(rules: Sequence[GrammarRule]) -> list[int]:
     return cyclic
 
 
+def _dominated(rules: Sequence[GrammarRule]) -> dict[str, frozenset[str]]:
+    """Per lhs name, the names of every node a node of that name can dominate."""
+    children: dict[str, set[str]] = {}
+    for rule in rules:
+        children.setdefault(rule.lhs.name, set()).update(cat.name for cat in rule.rhs)
+    dominated = {}
+    for lhs, below in children.items():
+        seen: set[str] = set()
+        frontier = list(below)
+        while frontier:
+            name = frontier.pop()
+            if name not in seen:
+                seen.add(name)
+                frontier += children.get(name, ())
+        dominated[lhs] = frozenset(seen)
+    return dominated
+
+
 @dataclass(frozen=True)
 class Grammar:
     start_symbol: str = ""
@@ -216,13 +249,17 @@ class Grammar:
     def compiled(self) -> CompiledGrammar:
         """The parser tables, built on the first parse with this object."""
         by_first: dict[str, list[int]] = {}
+        by_lhs: dict[str, list[int]] = {}
         for idx, rule in enumerate(self.rules):
             by_first.setdefault(rule.rhs[0].name, []).append(idx)
+            by_lhs.setdefault(rule.lhs.name, []).append(idx)
         return CompiledGrammar(
             {name: tuple(ids) for name, ids in by_first.items()},
+            {name: tuple(ids) for name, ids in by_lhs.items()},
             tuple(tuple(cat.name for cat in rule.rhs) for rule in self.rules),
             tuple(rule.head - 1 for rule in self.rules),
             tuple(_unary_cycle_rules(self.rules)),
+            _dominated(self.rules),
         )
 
     def lhs_names(self) -> set[str]:
@@ -500,6 +537,14 @@ def _children(elem: ET.Element, allowed: Container[str]) -> list[ET.Element]:
     return children
 
 
+def _refuse_content(elem: ET.Element) -> None:
+    """ValueError for a child element or text other than whitespace in ``elem``."""
+    if len(elem):
+        raise ValueError(f"unexpected element <{elem[0].tag}>")
+    if elem.text is not None and elem.text.strip():
+        raise ValueError(f"unexpected text {elem.text.strip()!r}")
+
+
 def _refuse_unknown(elem: ET.Element, declared: Container[str]) -> None:
     """ValueError naming the first attribute of ``elem`` not in ``declared``."""
     unknown = [attr for attr in elem.attrib if attr not in declared]
@@ -596,9 +641,9 @@ class _Record(NamedTuple):
         """``children``, all elements of this record, built in order.
 
         A child that cannot be built, that carries an attribute the
-        record does not declare or that clashes with an earlier one is
-        refused at ``{tag}[i]``, or below it for a fault in its own
-        children.
+        record does not declare, that holds an element or text it does
+        not read or that clashes with an earlier one is refused at
+        ``{tag}[i]``, or below it for a fault in its own children.
         """
         cls, attrs, children_at, required = self.cls, self.attrs, self.children_at, self.required
         read_children = self.read_children
@@ -610,6 +655,8 @@ class _Record(NamedTuple):
                     _refuse_unknown(child, [attr for attr, _, _ in attrs])
                 if read_children is not None:
                     values.insert(children_at, read_children(child))
+                elif child.text is not None or len(child):
+                    _refuse_content(child)
                 items.append(cls(*values))
             except (ValueError, MalformedResource) as exc:
                 raise _at(f"{self.tag}[{i}]", exc) from None
@@ -662,7 +709,8 @@ class _Keyed(NamedTuple):
 
     def read(self, children: list[ET.Element]) -> dict:
         """``children``, all elements of this record, folded by key in
-        document order; a refused child is located at ``{tag}[i]``."""
+        document order; a refused child, one with an element or text
+        it does not read among them, is located at ``{tag}[i]``."""
         key_attr, value_attr, parse, nested = self.key, self.value, self.parse, self.children
         declared = (key_attr,) if value_attr is None else (key_attr, value_attr)
         folded: dict = {}
@@ -680,6 +728,8 @@ class _Keyed(NamedTuple):
                         raise ValueError(self.empty)
                 elif nested is not None:
                     value = nested.read(_children(child, (nested.tag,)))
+                if nested is None and (child.text is not None or len(child)):
+                    _refuse_content(child)
                 if key in folded:
                     raise ValueError(self.repeat.format(key))
             except (ValueError, MalformedResource) as exc:
@@ -702,6 +752,7 @@ class _Keyed(NamedTuple):
 
 def _read_category(elem: ET.Element) -> Category:
     name = _require(elem, "name")
+    _refuse_content(elem)
     cat = Category(name, {k: v for k, v in elem.attrib.items() if k != "name"})
     _check_unreserved(cat)
     return cat

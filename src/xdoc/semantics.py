@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import UnknownConcept
 from .parsing import ParseTree
-from .resources import GrammaticalFunction, Ontology, ResourceBundle, StructPattern
+from .resources import Grammar, GrammaticalFunction, Ontology, ResourceBundle, StructPattern
 from .tagging import TaggedToken
 
 __all__ = [
@@ -119,32 +119,37 @@ def subsumes(ontology: Ontology, ancestor: str, descendant: str) -> bool:
 
 
 def grammatical_functions(
-    tree: ParseTree, functions: Sequence[GrammaticalFunction]
+    tree: ParseTree, functions: Sequence[GrammaticalFunction], grammar: Grammar
 ) -> dict[str, ParseTree]:
     """Bind each declared function to the first node, in pre-order, it selects.
 
     A declaration selects a node with its category's name and features,
     an earlier sibling named ``after`` and a later one named ``before``
-    where those are given; the root has no siblings.
+    where those are given; the root has no siblings.  ``grammar`` is the
+    grammar that built ``tree``: the walk skips the subtrees of nodes
+    whose category it lets dominate no declared name.
     """
     out: dict[str, ParseTree] = {}
-    wanted = {function.category.name for function in functions}
+    wanted = frozenset(function.category.name for function in functions)
+    above = grammar.compiled.dominators(wanted)
     stack = [((tree,), 0)]  # (a node's siblings, its index among them)
     while stack:
         siblings, i = stack.pop()
-        category = siblings[i].category
+        node = siblings[i]
+        category = node.category
         if category.name in wanted:
             names = [sibling.category.name for sibling in siblings]
             for function in functions:
-                if (function.gf not in out and function.category.name == category.name
-                        and all(item in category.features for item in function.category.features)
+                needed = function.category
+                if (function.gf not in out and needed.name == category.name
+                        and all(map(category.features.__contains__, needed.features))
                         and (function.after is None or function.after in names[:i])
                         and (function.before is None or function.before in names[i + 1 :])):
-                    out[function.gf] = siblings[i]
+                    out[function.gf] = node
             if len(out) == len(functions):
                 return out
-        kids = siblings[i].children
-        if kids:
+        kids = node.children
+        if kids and category.name in above:
             stack.extend(zip(repeat(kids), range(len(kids) - 1, -1, -1)))
     return out
 
@@ -173,7 +178,7 @@ def instantiate_frames(
     if not predicates:
         return instances, diagnostics
 
-    functions = grammatical_functions(tree, bundle.functions)
+    functions = grammatical_functions(tree, bundle.functions, bundle.grammar)
     for t in predicates:
         for frame in by_lemma[t.lemma]:
             bindings: dict[str, tuple[int, str]] = {}

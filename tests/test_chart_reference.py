@@ -1,11 +1,16 @@
-"""The integer-coded chart equals the reference parser's, node for node.
+"""The bit-vector chart equals the reference parser's, node for node.
 
-``reference_parser`` is the parser as it was before categories were
-interned.  Both charts must hold the same nodes in the same order (same
-id, category, span and derivation list) on every grammar.  Where the
-grammar has no unary rule cycle the tree readers must give the same
-trees, chunk covers and ``TooAmbiguous`` verdicts on them; where it has
-one they refuse the chart.
+``reference_parser`` is the agenda parser as it was before categories
+were interned.  Both charts must hold the same nodes (category, start,
+end), and each node the same derivations, naming children by their
+(category, start, end).  Where the grammar has no unary rule cycle the
+tree readers must give the same trees, chunk covers and ``TooAmbiguous``
+verdicts, compared as lists.  Three orders the reference leaves to
+creation order this parser ranks by category (name, features): two
+derivations of one node that agree on rule and child ends, several
+start-symbol roots (after their least rule index), and several longest
+chunk candidates of one least rule.  Only those are normalised on the
+reference side before comparing.
 """
 
 from __future__ import annotations
@@ -13,18 +18,95 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import reference_parser
 from grammargen import TERMINAL_POOL, feature_tags, random_case, to_grammar
 from xdoc.errors import ResourceError, TooAmbiguous
-from xdoc.parsing import chunks, complete_parses, parse
+from xdoc.parsing import chunks, complete_parses, first_parse, parse
 from xdoc.resources import Grammar
 
 
-def node_table(chart):
-    return [(n.id, n.category, n.start, n.end, list(n.derivations)) for n in chart.nodes]
+def derivation_table(chart) -> dict[tuple, set]:
+    """Per node (category, start, end), its derivations with children so named."""
+    key = {n.id: (n.category, n.start, n.end) for n in chart.nodes}
+    return {
+        key[n.id]: {(rule, tuple(key[c] for c in children)) for rule, children in n.derivations}
+        for n in chart.nodes
+    }
+
+
+def has_tie(chart) -> bool:
+    """Whether two derivations of one node agree on rule and child ends."""
+    ends = {n.id: n.end for n in chart.nodes}
+    return any(
+        len({(rule, tuple(ends[c] for c in children)) for rule, children in n.derivations})
+        < len(n.derivations)
+        for n in chart.nodes
+    )
+
+
+def least_rule(node) -> int:
+    """The least rule index among a reference node's derivations; a leaf's first."""
+    return min(-1 if rule is None else rule for rule, _ in node.derivations)
+
+
+def category_key(node) -> tuple:
+    return (node.category.name, node.category.features)
+
+
+def break_ties_by_category(expected) -> None:
+    """Order tied derivations of the reference chart as this parser does.
+
+    The reference orders two derivations of one node that agree on rule
+    and child ends by creation; re-sorting each node's list by (rule,
+    child spans, child categories) leaves every other order as it was.
+    """
+    nodes = expected.nodes
+    for n in nodes:
+        n.derivations.sort(key=lambda deriv: (
+            -1 if deriv[0] is None else deriv[0],
+            tuple((nodes[c].start, nodes[c].end) for c in deriv[1]),
+            tuple(category_key(nodes[c]) for c in deriv[1]),
+        ))
+
+
+def reference_roots(expected, start_symbol: str) -> list:
+    """The reference's start-symbol roots, ranked as this parser ranks them."""
+    roots = [n for n in expected.nodes
+             if n.category.name == start_symbol and n.start == 0 and n.end == expected.length]
+    return sorted(roots, key=lambda n: (least_rule(n), category_key(n)))
+
+
+def reference_trees(expected, start_symbol: str):
+    """``reference_parser.complete_parses``, its roots ranked as this parser ranks them.
+
+    The reference lists roots in creation order; the trees of each root
+    stay in its order.
+    """
+    trees = trees_or_verdict(reference_parser.complete_parses, expected, start_symbol)
+    if isinstance(trees, tuple):
+        return trees
+    rank = {n.category: i for i, n in enumerate(reference_roots(expected, start_symbol))}
+    return sorted(trees, key=lambda tree: rank[tree.category])
+
+
+def reference_chunks(expected) -> list:
+    """``reference_parser.chunks``, two longest candidates of one least rule ranked by category.
+
+    The reference breaks that tie by creation order.
+    """
+    out = []
+    for tree in reference_parser.chunks(expected):
+        if tree.children:  # a constituent, not a bare terminal
+            tied = [n for n in expected.passives_from(tree.start)
+                    if n.is_constituent() and n.end == tree.end
+                    and least_rule(n) == tree.rule_index]
+            best = min(tied, key=category_key)
+            tree = reference_parser._first_tree(expected, best, set())
+        out.append(tree)
+    return out
 
 
 def trees_or_verdict(read, chart, start_symbol):
@@ -34,23 +116,33 @@ def trees_or_verdict(read, chart, start_symbol):
         return ("TooAmbiguous", exc.limit)
 
 
-def assert_same_as_reference(tags, grammar):
+def assert_same_as_reference(tags, grammar) -> bool:
+    """Compare with the reference; returns whether its chart has a derivation tie."""
     chart = parse(tags, grammar)
     expected = reference_parser.parse(tags, grammar)
-    assert node_table(chart) == node_table(expected)
+    assert derivation_table(chart) == derivation_table(expected)
     if grammar.compiled.cycle_rules:
         for read in (chunks, lambda chart: complete_parses(chart, grammar.start_symbol)):
             with pytest.raises(ResourceError, match="unary cycle"):
                 read(chart)
-        return
-    assert chunks(chart) == reference_parser.chunks(expected)
+        return False
+    tied = has_tie(expected)
+    break_ties_by_category(expected)
+    assert chunks(chart) == reference_chunks(expected)
     for symbol in sorted(grammar.lhs_names()):
-        assert trees_or_verdict(complete_parses, chart, symbol) == trees_or_verdict(
-            reference_parser.complete_parses, expected, symbol
-        )
+        got = trees_or_verdict(complete_parses, chart, symbol)
+        assert got == reference_trees(expected, symbol)
+        roots = reference_roots(expected, symbol)
+        first = reference_parser._first_tree(expected, roots[0], set()) if roots else None
+        assert first_parse(chart, symbol) == first
+        if not isinstance(got, tuple):
+            assert first == (got[0] if got else None)
+    return tied
 
 
 @given(st.integers(0, 2**32 - 1))
+@example(1021)  # a tie the reference breaks otherwise: chunks differ
+@example(2045)  # and complete_parses of B
 @settings(max_examples=200, deadline=None)
 def test_chart_equals_reference_with_features(seed):
     rng = random.Random(seed)
@@ -60,8 +152,10 @@ def test_chart_equals_reference_with_features(seed):
     for _ in range(4):
         tags = [rng.choice(TERMINAL_POOL) for _ in range(rng.randint(1, 7))]
         inputs.append(feature_tags(tags, rng) if rng.random() < 0.75 else tags)
+    tied = False
     for tags in inputs * 2:  # the second round runs on warm tables
-        assert_same_as_reference(tags, grammar)
+        tied |= assert_same_as_reference(tags, grammar)
+    event(f"derivation tie: {tied}")
 
 
 def genitive_chain(nps: int) -> list[tuple[str, dict[str, str]]]:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_parser
 from cyk_oracle import brute_force_spans, chart_spans, count_bracketings
 from grammargen import TERMINAL_POOL, feature_tags, random_case, to_grammar
 from test_chart_reference import clause
@@ -176,6 +177,28 @@ def test_readers_read_a_deep_chart_without_recursion():
     leaf, chunk = chunks(chart)
     assert (leaf.category.name, leaf.start, leaf.end, leaf.children) == ("y", 0, 1, ())
     assert right_spine(chunk) == [(name, start + 1, end + 1) for name, start, end in expected]
+
+
+def test_readers_read_a_long_right_recursive_np():
+    # en-bio's grammar plus NP -> N NP over 2,000 nouns, alone (no S, so
+    # one chunk) and after N V (one parse): the chart holds ~2,000,000
+    # NP nodes, each a bit in one end mask per start position.
+    grammar = Grammar(
+        "S", EN_GRAMMAR.rules + (GrammarRule(Category("NP"), (Category("N"), Category("NP")), 1),)
+    )
+    n = 2000
+    chart = parse(["N"] * n, grammar)
+    assert first_parse(chart, "S") is None
+    (chunk,) = chunks(chart)
+    assert right_spine(chunk) == [("NP", i, n) for i in range(n)] + [("N", n - 1, n)]
+    chart = parse(["N", "V"] + ["N"] * n, grammar)
+    tree = first_parse(chart, "S")
+    assert right_spine(tree) == (
+        [("S", 0, n + 2), ("VP", 1, n + 2)] + [("NP", i, n + 2) for i in range(2, n + 2)]
+        + [("N", n + 1, n + 2)]
+    )
+    assert tree.leaf_positions() == list(range(n + 2))
+    assert right_spine(chunks(chart)[0]) == right_spine(tree)
 
 
 def test_parsing_has_no_recursive_function():
@@ -363,31 +386,84 @@ def test_chart_matches_brute_force_oracle_random_slice():
             assert len(set(node.derivations)) == len(node.derivations)
 
 
-def test_each_active_edge_meets_each_passive_once():
-    # S -> y . y is made after node 1 (y at 1) and meets it then; the
-    # agenda, taking node 1 later, must not combine them again.
+def test_enumerator_yields_each_derivation_once_in_order():
+    # S -> y y: one node over both tags with one derivation.
     chart = parse(["y", "y"], grammar_of(("S", ("y", "y"))))
     assert [n.derivations for n in chart.nodes[2:]] == [[(0, (0, 1))]]
-    # S -> x . S is stamped 3 (nodes 0-2 exist when it is made); node 3,
-    # S at 1, is the next node made, so the agenda must still combine them.
+    # S -> x | x S: the view lists leaves first, then nodes by (start,
+    # end, category); S over both tags has the one derivation x + S(1, 2).
     chart = parse(["x", "x"], grammar_of(("S", ("x",)), ("S", ("x", "S"))))
     assert [(n.start, n.end, n.derivations) for n in chart.nodes[2:]] == [
         (0, 1, [(0, (0,))]),
+        (0, 2, [(1, (0, 4))]),
         (1, 2, [(0, (1,))]),
-        (0, 2, [(1, (0, 3))]),
     ]
+    assert_enumerated_in_order(chart)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_enumerator_order_on_random_grammars(seed):
+    rng = random.Random(seed)
+    rules, _ = random_case(rng)
+    grammar = to_grammar(rules, rng)
+    for _ in range(4):
+        tags = [rng.choice(TERMINAL_POOL) for _ in range(rng.randint(1, 7))]
+        assert_enumerated_in_order(parse(feature_tags(tags, rng), grammar))
+
+
+TIED = Grammar(
+    "S",
+    (
+        GrammarRule(Category("S"), (Category("x"), Category("A")), 1),
+        GrammarRule(Category("A", {"f": "b"}), (Category("y"),), 1),
+        GrammarRule(Category("A", {"f": "a"}), (Category("y"),), 1),
+    ),
+)
+
+
+def test_tied_derivations_come_in_category_order():
+    # S -> x A with x the head: A[f=b] and A[f=a] both span y, so S has
+    # two derivations with the same rule and child ends.  The agenda
+    # made A[f=b] first, from the earlier rule, and listed its tree
+    # first; the enumerator orders the tie by the child's features, on
+    # any grammar object, whatever ids its categories were given.
+    expected = ["A[f=a]", "A[f=b]"]
+    reference = reference_parser.complete_parses(reference_parser.parse(["x", "y"], TIED), "S")
+    assert [t.children[1].category.label() for t in reference] == expected[::-1]
+    warm = cold(TIED)
+    for name in ("A", "S", "y", "x"):  # ids in another order than a cold parse gives
+        warm.compiled.intern(Category(name, {"f": "a"} if name == "A" else {}))
+    for grammar in (TIED, cold(TIED), warm):
+        chart = parse(["x", "y"], grammar)
+        trees = complete_parses(chart, "S")
+        assert [t.children[1].category.label() for t in trees] == expected
+        assert first_parse(chart, "S") == trees[0]
+        assert chunks(chart) == [trees[0]]
+        assert [list(n.derivations) for n in chart.nodes if n.category.name == "S"] == [
+            [(0, (0, 3)), (0, (0, 4))]
+        ]
+        assert [n.category.label() for n in chart.nodes[3:]] == expected
 
 
 def test_feature_variants_of_start_symbol_all_enumerate():
+    # Several roots rank by their least rule index, then by category.
     grammar = Grammar(
         "S",
         (
+            GrammarRule(Category("S", {"m": "z"}), (Category("X"),), 1),
             GrammarRule(Category("S", {"m": "a"}), (Category("X"),), 1),
-            GrammarRule(Category("S", {"m": "b"}), (Category("X"),), 1),
+            GrammarRule(Category("S"), (Category("A"),), 1),
+            GrammarRule(Category("A", {"f": "b"}), (Category("y"),), 1),
+            GrammarRule(Category("A", {"f": "a"}), (Category("y"),), 1),
         ),
     )
-    trees = complete_parses(parse(["X"], grammar), "S")
-    assert {t.category.label() for t in trees} == {"S[m=a]", "S[m=b]"}
+    for tags, expected in ((["X"], ["S[m=z]", "S[m=a]"]), (["y"], ["S[f=a]", "S[f=b]"])):
+        for g in (grammar, cold(grammar)):
+            chart = parse(tags, g)
+            trees = complete_parses(chart, "S")
+            assert [t.category.label() for t in trees] == expected
+            assert first_parse(chart, "S") == trees[0]
 
 
 def test_unary_cycle_terminates_everywhere():
@@ -423,6 +499,29 @@ def cold(grammar: Grammar) -> Grammar:
 
 def node_list(chart):
     return [(n.category, n.start, n.end, list(n.derivations)) for n in chart.nodes]
+
+
+def assert_enumerated_in_order(chart):
+    """Leaves come first; each node's derivations are unique, ordered and recheck.
+
+    The order is rule index, then child ends, then child categories'
+    (name, features); no two derivations of a node may share all three.
+    """
+    nodes = chart.nodes
+    assert [(n.start, n.end, n.derivations[0]) for n in nodes[: chart.length]] == [
+        (i, i + 1, (None, ())) for i in range(chart.length)
+    ]
+
+    def key(deriv):
+        rule, children = deriv
+        kids = [nodes[c] for c in children]
+        return (-1 if rule is None else rule, [k.end for k in kids],
+                [(k.category.name, k.category.features) for k in kids])
+
+    for node in nodes:
+        keys = [key(deriv) for deriv in node.derivations]
+        assert all(a < b for a, b in zip(keys, keys[1:])), node
+    assert_derivations_recheck(chart)
 
 
 def assert_derivations_recheck(chart):

@@ -706,6 +706,19 @@ EXACT_MESSAGES = [
         _in_bundle('<ontology><concept id="a"><isa ref="b"/><isa ref="b"/></concept><concept id="b"/></ontology>'),
         "ontology/concept[1]/isa[2]: duplicate isa target 'b'",
     ),
+    # A leaf record holds no element and no text.
+    (
+        _in_bundle('<semlex><entry lemma="a" pos="N" semclass="c"><bogus/></entry></semlex>'),
+        "semlex/entry[1]: unexpected element <bogus>",
+    ),
+    (
+        _in_bundle('<grammar start="S"><rule lhs="S" head="1"><cat name="A">junk text</cat></rule></grammar>'),
+        "grammar/rule[1]/cat[1]: unexpected text 'junk text'",
+    ),
+    (
+        _in_bundle('<abbreviations><abbr form="x">text<y/></abbr></abbreviations>'),
+        "abbreviations/abbr[1]: unexpected element <y>",
+    ),
 ]
 
 
@@ -759,6 +772,39 @@ def test_every_element_refuses_a_stray_attribute_but_features(en_bio, de_core):
         "grammar", "cat", "functions", "function", "lemmarules", "lemrule", "semlex", "entry",
         "frames", "frame", "slot", "ontology", "concept", "isa", "lexmap", "structmap", "pattern", "m",
     }
+
+
+def test_every_leaf_element_refuses_content(en_bio, de_core):
+    # Each leaf record and <cat> of both shipped bundles in turn holds a
+    # stray element, then text; both are refused where the element
+    # stands, as a stray attribute is.  Whitespace is not text.
+    tags = set()
+    for bundle in (en_bio, de_core):
+        text = serialize_bundle(bundle)
+        for k, (elem, location) in enumerate(_bundle_elements(ET.fromstring(text))):
+            if len(elem) or location.count("/") == 0 or elem.tag == "concept":
+                continue  # a section, or an element that may hold records
+            tags.add(elem.tag)
+            for content, reason in (("child", "unexpected element <bogus>"),
+                                    ("junk text", "unexpected text 'junk text'"),
+                                    (" \n ", None)):
+                root = ET.fromstring(text)
+                leaf = _bundle_elements(root)[k][0]
+                if content == "child":
+                    ET.SubElement(leaf, "bogus")
+                else:
+                    leaf.text = content
+                document = ET.tostring(root, encoding="unicode")
+                if reason is None:
+                    assert loads_bundle(document) == bundle
+                    continue
+                with pytest.raises(MalformedResource) as exc:
+                    loads_bundle(document)
+                # A function's one <cat> is refused at its function, as
+                # its attributes are.
+                where = location.removesuffix("/cat[1]") if location.startswith("functions/") else location
+                assert str(exc.value) == f"{where}: {reason}"
+    assert tags == {"abbr", "w", "rule", "map", "cat", "lemrule", "entry", "slot", "isa", "lexmap", "m"}
 
 
 def test_unary_cycle_not_involving_all_rules():

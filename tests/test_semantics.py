@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 import xdoc.semantics
 from xdoc.errors import UnknownConcept
-from xdoc.parsing import ParseTree, complete_parses, parse
+from xdoc.parsing import ParseTree, chunks, complete_parses, first_parse, parse
 from xdoc.resources import (
     Category,
+    Grammar,
+    GrammarRule,
     GrammaticalFunction,
     Ontology,
     PatternItem,
@@ -179,6 +181,17 @@ def svo_tree() -> ParseTree:
     )
 
 
+def built_by(tree: ParseTree) -> Grammar:
+    """A grammar that builds ``tree``: one rule per parent and child names in it."""
+    shapes = dict.fromkeys(
+        (n.category.name, tuple(c.category.name for c in n.children), n.head)
+        for n in tree.preorder() if n.children
+    )
+    return Grammar(tree.category.name, tuple(
+        GrammarRule(Category(lhs), tuple(map(Category, rhs)), head + 1) for lhs, rhs, head in shapes
+    ))
+
+
 # The two declaration styles the shipped bundles use: en-bio places its
 # functions around the verb, de-core marks them by case.
 POSITIONAL = (
@@ -192,21 +205,21 @@ CASE_MARKED = (
 
 
 def test_positional_subject_and_object():
-    functions = grammatical_functions(svo_tree(), POSITIONAL)
+    functions = grammatical_functions(svo_tree(), POSITIONAL, built_by(svo_tree()))
     assert (functions["subject"].start, functions["subject"].end) == (0, 1)
     assert (functions["object"].start, functions["object"].end) == (2, 3)
 
 
 def test_positional_without_object():
     tree = node("S", [node("NP", [leaf("N", 0)]), node("VP", [leaf("V", 1)])], head=1)
-    functions = grammatical_functions(tree, POSITIONAL)
+    functions = grammatical_functions(tree, POSITIONAL, built_by(tree))
     assert "subject" in functions
     assert "object" not in functions
 
 
 def test_positional_without_vp_binds_nothing():
     tree = node("S", [node("NP", [leaf("N", 0)])])
-    assert grammatical_functions(tree, POSITIONAL) == {}
+    assert grammatical_functions(tree, POSITIONAL, built_by(tree)) == {}
 
 
 def test_case_marked_subject_found_postverbally():
@@ -221,7 +234,7 @@ def test_case_marked_subject_found_postverbally():
         ],
         head=1,
     )
-    functions = grammatical_functions(tree, CASE_MARKED)
+    functions = grammatical_functions(tree, CASE_MARKED, built_by(tree))
     assert (functions["subject"].start, functions["subject"].end) == (3, 5)
     assert (functions["object"].start, functions["object"].end) == (0, 2)
 
@@ -229,17 +242,18 @@ def test_case_marked_subject_found_postverbally():
 def test_first_node_in_preorder_binds_and_the_root_has_no_siblings():
     inner = node("NP", [node("NP", [leaf("N", 0)], case="nom"), leaf("X", 1)], case="nom")
     tree = node("NP", [inner, leaf("VP", 2)], case="nom")
-    by_case = grammatical_functions(tree, CASE_MARKED[:1])
+    grammar = built_by(tree)
+    by_case = grammatical_functions(tree, CASE_MARKED[:1], grammar)
     assert by_case["subject"] is tree
     # the root cannot meet a sibling condition, so its first child binds
-    placed = grammatical_functions(tree, POSITIONAL[:1])
+    placed = grammatical_functions(tree, POSITIONAL[:1], grammar)
     assert placed["subject"] is inner
     # a declared feature must be carried with its value
-    assert grammatical_functions(tree, CASE_MARKED[1:]) == {}
+    assert grammatical_functions(tree, CASE_MARKED[1:], grammar) == {}
     # one node may bind several functions
     both = (GrammaticalFunction("subject", Category("X")),
             GrammaticalFunction("object", Category("X"), after="NP"))
-    assert grammatical_functions(tree, both) == {"subject": inner.children[1],
+    assert grammatical_functions(tree, both, grammar) == {"subject": inner.children[1],
                                                   "object": inner.children[1]}
 
 
@@ -247,9 +261,38 @@ def test_functions_bind_in_a_deep_tree_without_recursion():
     tree = leaf("N", 0)
     for _ in range(5000):
         tree = node("NP", [tree, leaf("V", 0)])
-    functions = grammatical_functions(tree, (GrammaticalFunction("object", Category("V"),
-                                                                 after="N"),))
+    functions = grammatical_functions(
+        tree, (GrammaticalFunction("object", Category("V"), after="N"),), built_by(tree)
+    )
     assert functions["object"].category.name == "V"
+
+
+def test_walk_skips_subtrees_that_cannot_hold_a_function(en_bio, de_core):
+    # The walk does not descend below a node whose category the grammar
+    # lets dominate no declared name, and binds what a walk pruned only
+    # by the tree's own shape binds.
+    assert en_bio.grammar.compiled.dominators(frozenset({"NP"})) == {"S", "VP"}
+    assert de_core.grammar.compiled.dominators(frozenset({"NP"})) == {"S", "VP", "NP"}
+    assert en_bio.grammar.compiled.dominators(frozenset({"DET", "V"})) == {"S", "VP", "NP"}
+    cases = [
+        (en_bio, [["N", "V", "N"], ["DET", "N", "V", "DET", "N"], ["N", "N", "V"], ["V", "N", "N"]]),
+        (de_core, [["DETN", "N", "V", "DETA", "N", "DETG", "N"], ["DETA", "N", "DETG", "N", "V"]]),
+    ]
+    for bundle, inputs in cases:
+        grammar = bundle.grammar
+        for tags in inputs:
+            chart = parse(tags, grammar)
+            tree = first_parse(chart, grammar.start_symbol)
+            for tree in [tree] if tree is not None else chunks(chart):
+                for functions in (bundle.functions, POSITIONAL, CASE_MARKED):
+                    assert grammatical_functions(tree, functions, grammar) == grammatical_functions(
+                        tree, functions, built_by(tree)
+                    )
+    # A tree the grammar could not build is walked only as far as it allows.
+    tree = node("NP", [node("S", [node("NP", [leaf("N", 0)])])])
+    subject = (GrammaticalFunction("subject", Category("S")),)
+    assert grammatical_functions(tree, subject, built_by(tree)) == {"subject": tree.children[0]}
+    assert grammatical_functions(tree, subject, en_bio.grammar) == {}
 
 
 def _shipped_names(*bundles) -> set[str]:
