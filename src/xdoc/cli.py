@@ -128,9 +128,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         stages=stages,
         lenient=args.lenient,
     )
-    _write_output(args.output, emit_xml(doc))
-    if args.relations_tsv is not None:
-        _write_output(args.relations_tsv, export_relations(doc))
+    xml = emit_xml(doc)
+    tsv = None if args.relations_tsv is None else export_relations(doc)
+    # Nothing is written before the whole document is rendered, so a failing
+    # analysis leaves existing files as they were; and the writes, which
+    # encode a copy of each string, run without the input and its analysis.
+    del text, doc
+    _write_output(args.output, xml)
+    if tsv is not None:
+        _write_output(args.relations_tsv, tsv)
     return EXIT_OK
 
 

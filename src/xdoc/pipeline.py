@@ -21,7 +21,11 @@ from mapping, parsing and semantics: tagset maps cover word classes,
 and sentence terminators carry no constituent structure.
 
 Output is deterministic byte for byte: annotated XML and a relation
-table ordered by document position.
+table ordered by document position.  The XML is rendered as one string
+per sentence, joined once.  A parse node is indented two spaces per
+level below its tree's root, down to ``MAX_INDENT_DEPTH`` levels, and
+deeper nodes take that level's pad, so the XML grows linearly with the
+tree.
 """
 
 from __future__ import annotations
@@ -300,65 +304,77 @@ def _token_line(token: Token, annotated: TaggedToken | None, indent: str) -> str
     return line + "/>"
 
 
-def _tree_xml(tree: ParseTree, parse_input: Sequence[TaggedToken], indent: str) -> list[str]:
-    lines: list[str] = []
-    stack: list[tuple[ParseTree | None, str]] = [(tree, indent)]  # (None, line) closes a node
+# Parse nodes are padded two spaces per level below the tree's root, down
+# to this many levels; deeper nodes take the pad of the last one, so a
+# sentence's <parse> grows linearly with its tree, not with its square.
+MAX_INDENT_DEPTH = 32
+_PADS = tuple("      " + "  " * depth for depth in range(MAX_INDENT_DEPTH + 1))
+_CLOSES = tuple(f"{pad}</node>" for pad in _PADS)
+
+
+def _tree_xml(tree: ParseTree, parse_input: Sequence[TaggedToken], lines: list[str]) -> None:
+    """Append the lines of ``tree``'s nodes to ``lines``, each padded by its capped depth."""
+    stack: list[tuple[ParseTree | None, int]] = [(tree, 0)]  # (None, depth) closes a node
     while stack:
-        node, indent = stack.pop()
+        node, depth = stack.pop()
         if node is None:
-            lines.append(indent)
+            lines.append(_CLOSES[depth])
             continue
-        rendered = f' cat="{_esc(node.category.name)}"{_attrs(node.category.features)}'
+        start = f'{_PADS[depth]}<node cat="{_esc(node.category.name)}"{_attrs(node.category.features)}'
         if node.children:
-            lines.append(f"{indent}<node{rendered}>")
-            stack.append((None, f"{indent}</node>"))
-            stack.extend(zip(reversed(node.children), repeat(indent + "  ")))
+            lines.append(f"{start}>")
+            stack.append((None, depth))
+            stack.extend(zip(reversed(node.children), repeat(min(depth + 1, MAX_INDENT_DEPTH))))
         else:
-            lines.append(f'{indent}<node{rendered} ref="{parse_input[node.start].token.id}"/>')
-    return lines
+            lines.append(f'{start} ref="{parse_input[node.start].token.id}"/>')
+
+
+def _sentence_xml(index: int, analysis: SentenceAnalysis) -> str:
+    """The ``<sentence>`` element of the document's ``index``-th sentence, ending in a newline."""
+    lines = [f'  <sentence id="{_sid(index)}">', "    <tokens>"]
+    annotations = analysis.tagged or repeat(None)
+    for token, annotated in zip(analysis.sentence.tokens, annotations):
+        lines.append(_token_line(token, annotated, "      "))
+    lines.append("    </tokens>")
+    if analysis.tree is not None and analysis.parse_input:
+        lines.append("    <parse>")
+        _tree_xml(analysis.tree, analysis.parse_input, lines)
+        lines.append("    </parse>")
+    if analysis.relations:
+        lines.append("    <relations>")
+        for relation in analysis.relations:
+            instance = relation.frame
+            if instance is not None:
+                pairs = [("type", relation.name), ("pred", str(instance.predicate))]
+                lines.append(f"      <rel{_attrs(pairs)}>")
+                for role, (token_id, _) in sorted(instance.bindings.items()):
+                    pairs = [("role", role), ("ref", str(token_id))]
+                    lines.append(f"        <arg{_attrs(pairs)}/>")
+            else:
+                lines.append(f"      <rel{_attrs([('type', relation.name)])}>")
+                lines.append(f'        <arg role="arg1" ref="{relation.arg1}"/>')
+                lines.append(f'        <arg role="arg2" ref="{relation.arg2}"/>')
+            lines.append("      </rel>")
+        lines.append("    </relations>")
+    if analysis.diagnostics:
+        lines.append("    <diagnostics>")
+        for diag in analysis.diagnostics:
+            pairs = [("code", diag.code), ("detail", diag.detail)]
+            lines.append(f"      <diag{_attrs(pairs)}/>")
+        lines.append("    </diagnostics>")
+    lines += ["  </sentence>", ""]
+    return "\n".join(lines)
 
 
 def emit_xml(doc: AnnotatedDocument) -> str:
-    """Render the annotated document as deterministic XML."""
+    """Render the annotated document as deterministic XML, one joined string per sentence."""
+    start = f"<document{_attrs([('lang', doc.lang)])}"
     if not doc.sentences:
-        return f"<document{_attrs([('lang', doc.lang)])}/>\n"
-    lines = [f"<document{_attrs([('lang', doc.lang)])}>"]
-    for index, analysis in enumerate(doc.sentences):
-        lines.append(f'  <sentence id="{_sid(index)}">')
-        lines.append("    <tokens>")
-        annotations = analysis.tagged or [None] * len(analysis.sentence.tokens)
-        for token, annotated in zip(analysis.sentence.tokens, annotations):
-            lines.append(_token_line(token, annotated, "      "))
-        lines.append("    </tokens>")
-        if analysis.tree is not None and analysis.parse_input:
-            lines.append("    <parse>")
-            lines.extend(_tree_xml(analysis.tree, analysis.parse_input, "      "))
-            lines.append("    </parse>")
-        if analysis.relations:
-            lines.append("    <relations>")
-            for relation in analysis.relations:
-                instance = relation.frame
-                if instance is not None:
-                    pairs = [("type", relation.name), ("pred", str(instance.predicate))]
-                    lines.append(f"      <rel{_attrs(pairs)}>")
-                    for role, (token_id, _) in sorted(instance.bindings.items()):
-                        pairs = [("role", role), ("ref", str(token_id))]
-                        lines.append(f"        <arg{_attrs(pairs)}/>")
-                else:
-                    lines.append(f"      <rel{_attrs([('type', relation.name)])}>")
-                    lines.append(f'        <arg role="arg1" ref="{relation.arg1}"/>')
-                    lines.append(f'        <arg role="arg2" ref="{relation.arg2}"/>')
-                lines.append("      </rel>")
-            lines.append("    </relations>")
-        if analysis.diagnostics:
-            lines.append("    <diagnostics>")
-            for diag in analysis.diagnostics:
-                pairs = [("code", diag.code), ("detail", diag.detail)]
-                lines.append(f"      <diag{_attrs(pairs)}/>")
-            lines.append("    </diagnostics>")
-        lines.append("  </sentence>")
-    lines.append("</document>")
-    return "\n".join(lines) + "\n"
+        return f"{start}/>\n"
+    parts = [f"{start}>\n"]
+    parts += [_sentence_xml(index, analysis) for index, analysis in enumerate(doc.sentences)]
+    parts.append("</document>\n")
+    return "".join(parts)
 
 
 def export_relations(doc: AnnotatedDocument) -> str:

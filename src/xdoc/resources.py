@@ -519,7 +519,7 @@ class ResourceBundle:
 # any other attribute as a feature, as a <cat> does.  The section table
 # gives each section's own attributes and records, in canonical order.
 # Every element refuses an attribute it does not declare, except those
-# feature attributes.
+# feature attributes, and text other than whitespace.
 
 
 def _require(elem: ET.Element, attr: str) -> str:
@@ -543,6 +543,35 @@ def _refuse_content(elem: ET.Element) -> None:
         raise ValueError(f"unexpected element <{elem[0].tag}>")
     if elem.text is not None and elem.text.strip():
         raise ValueError(f"unexpected text {elem.text.strip()!r}")
+
+
+def _refuse_stray_text(root: ET.Element) -> None:
+    """MalformedResource for the first text other than whitespace in ``root``'s tree.
+
+    Called once the records are read, which refuse text in a leaf record
+    or a ``<cat>``.  What is left is text in an element that holds records:
+    before its first child, refused at that element, or after a child,
+    refused at the child.  A bundle whose text is all whitespace, checked
+    in one pass over the tree's text, skips the walk that locates it.
+    """
+    if "".join(root.itertext()).isspace():
+        return
+    stack = [(root, "resources", False)]  # (element, location, its tail rather than its text)
+    while stack:
+        elem, location, is_tail = stack.pop()
+        text = elem.tail if is_tail else elem.text
+        if text and not text.isspace():
+            after = " after the element" if is_tail else ""
+            raise MalformedResource(location, f"unexpected text {text.strip()!r}{after}")
+        if is_tail:
+            continue
+        counts: dict[str, int] = {}
+        below = []
+        for child in elem:
+            counts[child.tag] = counts.get(child.tag, 0) + 1
+            step = child.tag if elem is root else f"{location}/{child.tag}[{counts[child.tag]}]"
+            below += [(child, step, False), (child, step, True)]
+        stack.extend(reversed(below))
 
 
 def _refuse_unknown(elem: ET.Element, declared: Container[str]) -> None:
@@ -982,6 +1011,7 @@ def loads_bundle(data: str | bytes) -> ResourceBundle:
             values.update(_read_section(_SECTIONS_BY_TAG[child.tag], child))
         except (ValueError, MalformedResource) as exc:
             raise _at(child.tag, exc) from None
+    _refuse_stray_text(root)
 
     try:
         return ResourceBundle(**values)  # type: ignore[arg-type]

@@ -149,6 +149,42 @@ def test_analyze_lenient_with_external_tags_succeeds(en_bio_path, tmp_path):
 
 
 
+def test_strict_failure_partway_leaves_existing_outputs_untouched(en_bio_path, tmp_path, capsys):
+    # The second of three sentences has a tag the bundle cannot map: a strict
+    # run exits 3 after analyzing the first, and neither output is written.
+    tags = tmp_path / "tags.tsv"
+    aspirin = "Aspirin\tNNP\ninhibits\tVBZ\ncyclooxygenase\tNN\n"
+    tags.write_text(f"{aspirin}\nFoo\tFW\n\n{aspirin}", encoding="utf-8")
+    xml_out, tsv_out = tmp_path / "out.xml", tmp_path / "out.tsv"
+    xml_out.write_bytes(b"<earlier/>\n")
+    tsv_out.write_bytes(b"earlier\trows\n")
+    argv = ["analyze", "--bundle", en_bio_path, "--external-tags", str(tags),
+            "--output", str(xml_out), "--relations-tsv", str(tsv_out)]
+    assert main(argv) == 3
+    assert "analysis error" in capsys.readouterr().err
+    assert xml_out.read_bytes() == b"<earlier/>\n"
+    assert tsv_out.read_bytes() == b"earlier\trows\n"
+    assert main([*argv, "--lenient"]) == 0
+    assert xml_out.read_text(encoding="utf-8").count("<sentence ") == 3
+    assert len(tsv_out.read_text(encoding="utf-8").splitlines()) == 3
+
+
+def test_analyze_writes_what_the_pipeline_renders(en_bio_path, tmp_path):
+    # On a document of several paragraphs the files hold exactly emit_xml
+    # and export_relations of run_pipeline's analysis.
+    text = ("Aspirin inhibits cyclooxygenase .\n\nWater inhibits the cyclooxygenase . Foo bar .\n"
+            "\n\nAspirin inhibits water of the liver .\n")
+    doc_path = tmp_path / "doc.txt"
+    doc_path.write_text(text, encoding="utf-8")
+    xml_out, tsv_out = tmp_path / "out.xml", tmp_path / "out.tsv"
+    assert _analyze_into(en_bio_path, str(doc_path), str(xml_out), str(tsv_out)) == 0
+    doc = xdoc.run_pipeline(en_bio_path, text, lenient=True)
+    assert len(doc.sentences) == 4
+    assert xml_out.read_bytes() == xdoc.emit_xml(doc).encode("utf-8")
+    assert tsv_out.read_bytes() == xdoc.export_relations(doc).encode("utf-8")
+    assert len(tsv_out.read_bytes().splitlines()) == 3  # two paragraphs with a relation each
+
+
 def test_empty_lexicon_without_default_warns_and_takes_only_tag_files(en_bio_path, tmp_path, capsys):
     source = Path(en_bio_path).read_text(encoding="utf-8")
     start, end = source.index("<taglexicon"), source.index("</taglexicon>") + len("</taglexicon>")

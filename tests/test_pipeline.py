@@ -325,23 +325,47 @@ def test_emit_xml_escapes_every_attribute_value_exactly():
     assert xml == ESCAPED_XML
 
 
-def test_emit_xml_writes_a_deep_tree_without_recursion():
-    depth = 5000
+def _right_branching(depth: int) -> AnnotatedDocument:
+    """A one-sentence document whose tree nests NP ``depth`` levels below its root."""
     tokens = tuple(Token(i, f"w{i}", 3 * i, 2) for i in range(depth + 1))
     tagged = tuple(TaggedToken(token, "NN", "N") for token in tokens)
     tree = ParseTree(Category("N"), depth, depth + 1)
     for i in range(depth - 1, -1, -1):
         tree = ParseTree(Category("NP"), i, depth + 1, (ParseTree(Category("N"), i, i + 1), tree))
     analysis = SentenceAnalysis(Sentence(0, tokens), tagged=tagged, parse_input=tagged, tree=tree)
-    lines = emit_xml(AnnotatedDocument("en", tokens, [analysis])).splitlines()
-    parse_lines = lines[lines.index("    <parse>") + 1 : lines.index("    </parse>")]
-    expected = []
+    return AnnotatedDocument("en", tokens, [analysis])
+
+
+def _parse_lines(doc: AnnotatedDocument) -> list[str]:
+    lines = emit_xml(doc).splitlines()
+    return lines[lines.index("    <parse>") + 1 : lines.index("    </parse>")]
+
+
+def _padded_lines(depth: int, pad) -> list[str]:
+    """The parse lines of ``_right_branching(depth)``, a node at depth ``d`` padded by ``pad(d)``."""
+    lines = []
     for i in range(depth):
-        pad = "      " + "  " * i
-        expected += [f'{pad}<node cat="NP">', f'{pad}  <node cat="N" ref="{i}"/>']
-    expected.append("      " + "  " * depth + f'<node cat="N" ref="{depth}"/>')
-    expected += ["      " + "  " * i + "</node>" for i in range(depth - 1, -1, -1)]
-    assert parse_lines == expected
+        lines += [f'{pad(i)}<node cat="NP">', f'{pad(i + 1)}<node cat="N" ref="{i}"/>']
+    lines.append(f'{pad(depth)}<node cat="N" ref="{depth}"/>')
+    return lines + [f"{pad(i)}</node>" for i in range(depth - 1, -1, -1)]
+
+
+def test_emit_xml_pads_a_tree_at_the_cap_by_depth_alone():
+    # Up to the cap the pad is two spaces per level, as it has always been.
+    cap = pipeline.MAX_INDENT_DEPTH
+    assert _parse_lines(_right_branching(cap)) == _padded_lines(cap, lambda d: "      " + "  " * d)
+
+
+def test_emit_xml_writes_a_deep_tree_without_recursion():
+    # Past the cap every node takes the deepest pad, so the <parse> of a
+    # 5,000-level tree is linear in its nodes, not quadratic.
+    cap = pipeline.MAX_INDENT_DEPTH
+    depth = 5000
+    lines = _parse_lines(_right_branching(depth))
+    assert lines == _padded_lines(depth, lambda d: "      " + "  " * min(d, cap))
+    # 3 * depth + 1 lines, none longer than the deepest pad and one node.
+    assert len(lines) == 3 * depth + 1
+    assert max(map(len, lines)) == len("      " + "  " * cap + f'<node cat="N" ref="{depth}"/>')
 
 
 # -- relation table

@@ -719,6 +719,45 @@ EXACT_MESSAGES = [
         _in_bundle('<abbreviations><abbr form="x">text<y/></abbr></abbreviations>'),
         "abbreviations/abbr[1]: unexpected element <y>",
     ),
+    # An element that holds records holds no text either, before its
+    # first child or after any child; the latter is refused at that child.
+    (
+        _in_bundle('<ontology><concept id="entity">junk</concept></ontology>'),
+        "ontology/concept[1]: unexpected text 'junk'",
+    ),
+    (
+        _in_bundle('<semlex>junk<entry lemma="a" pos="N" semclass="c"/></semlex>'),
+        "semlex: unexpected text 'junk'",
+    ),
+    (
+        _in_bundle('<semlex><entry lemma="a" pos="N" semclass="c"/> more </semlex>'),
+        "semlex/entry[1]: unexpected text 'more' after the element",
+    ),
+    (
+        _in_bundle('<frames><frame id="f" predicate="p" relation="r">'
+                   '<slot role="a" gf="subject" fill="c" required="true"/>x</frame></frames>'),
+        "frames/frame[1]/slot[1]: unexpected text 'x' after the element",
+    ),
+    (
+        _in_bundle('<structmap><pattern id="p" cat="NP" relation="r" arg1="1" arg2="2">'
+                   'junk<m name="A"/><m name="B"/></pattern></structmap>'),
+        "structmap/pattern[1]: unexpected text 'junk'",
+    ),
+    (
+        _in_bundle('<grammar start="S"><rule lhs="S" head="1"><cat name="A"/></rule>'
+                   '<rule lhs="S" head="1">junk<cat name="B"/></rule></grammar>'),
+        "grammar/rule[2]: unexpected text 'junk'",
+    ),
+    (
+        _in_bundle('<ontology><concept id="a"/><lexmap semclass="s" concept="a"/>'
+                   '<concept id="b"/>junk<lexmap semclass="t" concept="b"/></ontology>'),
+        "ontology/concept[2]: unexpected text 'junk' after the element",
+    ),
+    ('<resources lang="en">junk<abbreviations/></resources>', "resources: unexpected text 'junk'"),
+    (
+        '<resources lang="en"><abbreviations/>junk</resources>',
+        "abbreviations: unexpected text 'junk' after the element",
+    ),
 ]
 
 
@@ -805,6 +844,52 @@ def test_every_leaf_element_refuses_content(en_bio, de_core):
                 where = location.removesuffix("/cat[1]") if location.startswith("functions/") else location
                 assert str(exc.value) == f"{where}: {reason}"
     assert tags == {"abbr", "w", "rule", "map", "cat", "lemrule", "entry", "slot", "isa", "lexmap", "m"}
+
+
+RECORD_HOLDERS = [
+    "resources", "abbreviations", "taglexicon", "rules", "tagmap", "grammar", "functions",
+    "lemmarules", "semlex", "frames", "ontology", "structmap",
+    "concept", "frame", "pattern", "grammar/rule", "function",
+]
+
+
+def _kind(location: str) -> str:
+    """The element kind at ``location``: its tag, or ``grammar/rule`` for a grammar rule."""
+    steps = location.split("/")
+    tag = steps[-1].partition("[")[0]
+    return "grammar/rule" if steps[0] == "grammar" and tag == "rule" else tag
+
+
+@pytest.mark.parametrize("kind", RECORD_HOLDERS)
+def test_every_element_that_holds_records_refuses_text(en_bio, de_core, kind):
+    # Each element of this kind in both shipped bundles in turn holds text
+    # before its first child, then after each child; the text is refused at
+    # the element, or at the child it follows.  Whitespace is not text.
+    seen = 0
+    for bundle in (en_bio, de_core):
+        text = serialize_bundle(bundle)
+        for k, (_, location) in enumerate(_bundle_elements(ET.fromstring(text))):
+            if _kind(location) != kind:
+                continue
+            seen += 1
+            root = ET.fromstring(text)
+            elements = _bundle_elements(root)
+            where = {id(elem): at for elem, at in elements}
+            holder = elements[k][0]
+            faults = [(holder, "text", f"{location}: unexpected text 'junk'")]
+            faults += [(child, "tail", f"{where[id(child)]}: unexpected text 'junk' after the element")
+                       for child in holder]
+            for elem, slot, message in faults:
+                kept = getattr(elem, slot)
+                setattr(elem, slot, "junk")
+                with pytest.raises(MalformedResource) as exc:
+                    loads_bundle(ET.tostring(root, encoding="unicode"))
+                assert str(exc.value) == message
+                setattr(elem, slot, kept)
+            for elem, slot, _ in faults:
+                setattr(elem, slot, " \n ")
+            assert loads_bundle(ET.tostring(root, encoding="unicode")) == bundle
+    assert seen
 
 
 def test_unary_cycle_not_involving_all_rules():
