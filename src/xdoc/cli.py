@@ -37,8 +37,8 @@ EXIT_INTERNAL = 4
 def _read_text(path: str) -> str:
     try:
         if path == "-":
-            return sys.stdin.buffer.read().decode("utf-8")
-        return Path(path).read_bytes().decode("utf-8")
+            return sys.stdin.buffer.read().decode("utf-8-sig")
+        return Path(path).read_bytes().decode("utf-8-sig")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:

@@ -50,6 +50,7 @@ from .semantics import (
     Diagnostic,
     FrameInstance,
     Relation,
+    _frame_relations,
     instantiate_frames,
     map_np_structure,
     semantic_tag,
@@ -131,20 +132,6 @@ def _load_validated(path: str | Path) -> ResourceBundle:
         raise ResourceError(f"bundle {path} failed validation: {summary}")
     _last_valid = (data, bundle)
     return bundle
-
-
-def _frame_relations(frames: Sequence[FrameInstance], bundle: ResourceBundle) -> list[Relation]:
-    by_id = bundle.frames_by_id
-    out: list[Relation] = []
-    for instance in frames:
-        frame = by_id[instance.frame_id]
-        by_gf = {slot.gf: slot.role for slot in frame.slots}
-        subj = instance.bindings.get(by_gf.get("subject", ""))
-        obj = instance.bindings.get(by_gf.get("object", ""))
-        if subj is None or obj is None or subj[0] == obj[0]:
-            continue
-        out.append(Relation(instance.relation, subj[0], obj[0], instance.frame_id, instance))
-    return out
 
 
 def _annotate(analysis: SentenceAnalysis, words: Sequence[TaggedToken]) -> None:

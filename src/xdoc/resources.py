@@ -130,15 +130,13 @@ class GrammarRule:
 
 @dataclass
 class CompiledGrammar:
-    """Chart-parser tables for one grammar object, shared by all its parses.
+    """The tables that ``parse`` and the tree readers read, shared by all parses with one grammar object.
 
     ``rules_by_first`` lists rule indices by the name of their first rhs
     symbol and ``rules_by_lhs`` by the name of their lhs; ``rhs_names``
     and ``heads`` (0-based) give each rule's shape.
     ``cycle_rules`` lists the rules on a unary rule cycle, whose charts
-    the tree readers refuse.  ``dominated`` maps each lhs name to the
-    names its nodes can dominate, and :meth:`dominators` inverts it for
-    a set of names, memoised per set.
+    the tree readers refuse.
     Categories are interned: :meth:`intern` gives each distinct category
     (name plus feature items) a small int the first time a parse meets
     it, and ``categories`` maps the id back to the :class:`Category`.
@@ -157,22 +155,11 @@ class CompiledGrammar:
     rhs_names: tuple[tuple[str, ...], ...]
     heads: tuple[int, ...]
     cycle_rules: tuple[int, ...]
-    dominated: dict[str, frozenset[str]]
     categories: list[Category] = field(default_factory=list)
     category_ids: dict[tuple, int] = field(default_factory=dict)
     matches: dict[tuple[int, int, int], bool] = field(default_factory=dict)
     parents: dict[tuple[int, int], int] = field(default_factory=dict)
-    _dominators: dict[frozenset[str], frozenset[str]] = field(default_factory=dict, repr=False, compare=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
-
-    def dominators(self, names: frozenset[str]) -> frozenset[str]:
-        """The lhs names whose nodes can dominate a node named in ``names``."""
-        found = self._dominators.get(names)
-        if found is None:
-            found = self._dominators[names] = frozenset(
-                lhs for lhs, below in self.dominated.items() if not below.isdisjoint(names)
-            )
-        return found
 
     def intern(self, category: Category) -> int:
         """The id of ``category``, assigned on first sight.
@@ -218,24 +205,6 @@ def _unary_cycle_rules(rules: Sequence[GrammarRule]) -> list[int]:
     return cyclic
 
 
-def _dominated(rules: Sequence[GrammarRule]) -> dict[str, frozenset[str]]:
-    """Per lhs name, the names of every node a node of that name can dominate."""
-    children: dict[str, set[str]] = {}
-    for rule in rules:
-        children.setdefault(rule.lhs.name, set()).update(cat.name for cat in rule.rhs)
-    dominated = {}
-    for lhs, below in children.items():
-        seen: set[str] = set()
-        frontier = list(below)
-        while frontier:
-            name = frontier.pop()
-            if name not in seen:
-                seen.add(name)
-                frontier += children.get(name, ())
-        dominated[lhs] = frozenset(seen)
-    return dominated
-
-
 @dataclass(frozen=True)
 class Grammar:
     start_symbol: str = ""
@@ -259,7 +228,6 @@ class Grammar:
             tuple(tuple(cat.name for cat in rule.rhs) for rule in self.rules),
             tuple(rule.head - 1 for rule in self.rules),
             tuple(_unary_cycle_rules(self.rules)),
-            _dominated(self.rules),
         )
 
     def lhs_names(self) -> set[str]:

@@ -4,7 +4,8 @@ The semantic lexicon assigns lemma and semantic class per (lemma,
 parser tag) pair; the ontology's lexmap lifts semantic classes to
 concepts.  Case frames bind grammatical functions to roles, with
 ontology subsumption checking each filler against the slot's concept
-constraint.  Noun-phrase structure patterns map constituent shapes to
+constraint; an accepted instance relates its subject's filler to its
+object's.  Noun-phrase structure patterns map constituent shapes to
 binary relations.
 
 Grammatical functions are declared in the bundle, by position or by
@@ -19,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import UnknownConcept
 from .parsing import ParseTree
-from .resources import Grammar, GrammaticalFunction, Ontology, ResourceBundle, StructPattern
+from .resources import GrammaticalFunction, Ontology, ResourceBundle, StructPattern
 from .tagging import TaggedToken
 
 __all__ = [
@@ -119,19 +120,16 @@ def subsumes(ontology: Ontology, ancestor: str, descendant: str) -> bool:
 
 
 def grammatical_functions(
-    tree: ParseTree, functions: Sequence[GrammaticalFunction], grammar: Grammar
+    tree: ParseTree, functions: Sequence[GrammaticalFunction]
 ) -> dict[str, ParseTree]:
     """Bind each declared function to the first node, in pre-order, it selects.
 
     A declaration selects a node with its category's name and features,
     an earlier sibling named ``after`` and a later one named ``before``
-    where those are given; the root has no siblings.  ``grammar`` is the
-    grammar that built ``tree``: the walk skips the subtrees of nodes
-    whose category it lets dominate no declared name.
+    where those are given; the root has no siblings.
     """
     out: dict[str, ParseTree] = {}
     wanted = frozenset(function.category.name for function in functions)
-    above = grammar.compiled.dominators(wanted)
     stack = [((tree,), 0)]  # (a node's siblings, its index among them)
     while stack:
         siblings, i = stack.pop()
@@ -149,7 +147,7 @@ def grammatical_functions(
             if len(out) == len(functions):
                 return out
         kids = node.children
-        if kids and category.name in above:
+        if kids:
             stack.extend(zip(repeat(kids), range(len(kids) - 1, -1, -1)))
     return out
 
@@ -178,7 +176,7 @@ def instantiate_frames(
     if not predicates:
         return instances, diagnostics
 
-    functions = grammatical_functions(tree, bundle.functions, bundle.grammar)
+    functions = grammatical_functions(tree, bundle.functions)
     for t in predicates:
         for frame in by_lemma[t.lemma]:
             bindings: dict[str, tuple[int, str]] = {}
@@ -216,6 +214,20 @@ def instantiate_frames(
                     FrameInstance(frame.id, frame.relation, t.token.id, bindings)
                 )
     return instances, diagnostics
+
+
+def _frame_relations(frames: Sequence[FrameInstance], bundle: ResourceBundle) -> list[Relation]:
+    by_id = bundle.frames_by_id
+    out: list[Relation] = []
+    for instance in frames:
+        frame = by_id[instance.frame_id]
+        by_gf = {slot.gf: slot.role for slot in frame.slots}
+        subj = instance.bindings.get(by_gf.get("subject", ""))
+        obj = instance.bindings.get(by_gf.get("object", ""))
+        if subj is None or obj is None or subj[0] == obj[0]:
+            continue
+        out.append(Relation(instance.relation, subj[0], obj[0], instance.frame_id, instance))
+    return out
 
 
 def map_np_structure(

@@ -15,6 +15,7 @@ plain tuple of the same values.
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -110,20 +111,28 @@ def apply_rules(
     ]
 
 
+# What a reader splitting lines on any Unicode line boundary ends a line
+# at, beyond \n and the characters XML refuses anyway.
+_LINE_BREAKS = "\r\x85\u2028\u2029"
+_LINE_BREAK = re.compile(f"[{_LINE_BREAKS}]")
+
+
 def import_external_tags(path: str | Path) -> list[list[TaggedToken]]:
     """Read tagged sentences from a ``form<TAB>tag`` file.
 
-    A blank line ends a sentence.  A line ends at ``\n`` only, with the
-    ``\r`` of a CRLF dropped, so a lone ``\r`` stays inside its line and
-    line numbers count ``\n``.  Token offsets are synthesized as if
-    the forms were joined by single spaces.  Raises
+    A leading UTF-8 byte order mark is dropped.  A blank line ends a
+    sentence.  A line ends at ``\n`` only, with the ``\r`` of a CRLF
+    dropped, and line numbers count ``\n``.  Token offsets are
+    synthesized as if the forms were joined by single spaces.  Raises
     :class:`MalformedLine` when a non-blank line does not contain
     exactly one tab, and :class:`InputError` for a character that XML
-    cannot carry, since forms and tags reach the XML output as they are.
+    cannot carry, since forms and tags reach the XML output as they are,
+    or for a line break left in a form or tag (``\r``, U+0085, U+2028,
+    U+2029), which would split a row of the relation table.
     """
     try:
         # Bytes, not read_text: universal newlines would end a line at a lone \r.
-        text = Path(path).read_bytes().decode("utf-8")
+        text = Path(path).read_bytes().decode("utf-8-sig")
     except OSError as exc:
         raise InputError(f"cannot read tag file {path}: {exc}") from None
     except UnicodeDecodeError as exc:
@@ -132,12 +141,14 @@ def import_external_tags(path: str | Path) -> list[list[TaggedToken]]:
     if bad is not None:
         lineno = text.count("\n", 0, bad.start()) + 1
         raise InputError(f"tag file {path} line {lineno}: character U+{ord(bad.group()):04X} cannot be written as XML")
+    # Most files hold no line break but \n; only others are searched line by line.
+    may_break = any(map(text.__contains__, _LINE_BREAKS))
     sentences: list[list[TaggedToken]] = []
     current: list[TaggedToken] = []
     byte_pos = 0
     token_id = 0
     for lineno, line in enumerate(text.split("\n"), 1):
-        line = line.rstrip("\r")
+        line = line.removesuffix("\r")
         if not line.strip():
             if current:
                 sentences.append(current)
@@ -145,6 +156,9 @@ def import_external_tags(path: str | Path) -> list[list[TaggedToken]]:
             continue
         if line.count("\t") != 1:
             raise MalformedLine(lineno)
+        brk = may_break and _LINE_BREAK.search(line)
+        if brk:
+            raise InputError(f"tag file {path} line {lineno}: line break U+{ord(brk.group()):04X} inside a form or tag")
         form, tag = line.split("\t")
         length = len(form.encode("utf-8"))
         current.append(TaggedToken(Token(token_id, form, byte_pos, length), tag))

@@ -180,8 +180,8 @@ def test_6_positional_vs_case_marked_subjects(en_bio, de_core):
             return mapped[node.head_leaf().start].token.form
 
         # de-core declares its functions by case, en-bio by position
-        case_marked = grammatical_functions(tree, de_core.functions, de_core.grammar)
-        positional = grammatical_functions(tree, en_bio.functions, de_core.grammar)
+        case_marked = grammatical_functions(tree, de_core.functions)
+        positional = grammatical_functions(tree, en_bio.functions)
         # post-verbal nominative NP is the subject under case marking
         assert head_form(case_marked["subject"]) == "Wirkstoff"
         assert (case_marked["subject"].start, case_marked["subject"].end) == (3, 5)

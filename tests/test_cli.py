@@ -259,6 +259,41 @@ def test_analyze_rejects_non_utf8_input(en_bio_path, tmp_path, capsys):
     assert "UTF-8" in capsys.readouterr().err
 
 
+BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize("source", ["--input", "stdin", "--external-tags"])
+def test_a_byte_order_mark_changes_no_output(en_bio_path, tmp_path, monkeypatch, source):
+    content = (b"Aspirin\tNN\ninhibits\tVBZ\ncyclooxygenase\tNN\n.\t.\n" if source == "--external-tags"
+               else b"Aspirin inhibits cyclooxygenase .\nWater inhibits cyclooxygenase .\n")
+    outputs = []
+    for prefix in (b"", BOM):
+        doc = tmp_path / "doc"
+        doc.write_bytes(prefix + content)
+        argv = ["analyze", "--bundle", en_bio_path, "--output", str(tmp_path / "out.xml"),
+                "--relations-tsv", str(tmp_path / "out.tsv")]
+        if source == "stdin":
+            monkeypatch.setattr("sys.stdin", type("S", (), {"buffer": io.BytesIO(prefix + content)})())
+        else:
+            argv += [source, str(doc)]
+        assert main(argv) == 0
+        outputs.append(((tmp_path / "out.xml").read_bytes(), (tmp_path / "out.tsv").read_bytes()))
+    assert outputs[1] == outputs[0]
+    xml, tsv = outputs[0]
+    assert b'<t id="0" off="0" len="7" form="Aspirin"' in xml
+    assert tsv.count(b"\tAspirin\t") == 1 and tsv.count(b"\n") == (2 if source == "--external-tags" else 3)
+
+
+def test_a_lone_cr_inside_a_tag_file_form_exits_two(de_core_path, tmp_path, capsys):
+    tags = tmp_path / "tags.tsv"
+    tags.write_bytes(b"der\tARTN\nWirkstoff\tNN\ndes\tARTG\nHer\rstellers\tNN\n")
+    out = tmp_path / "out.tsv"
+    code = main(["analyze", "--bundle", de_core_path, "--external-tags", str(tags), "--relations-tsv", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"input error: tag file {tags} line 4: line break U+000D inside a form or tag\n"
+    assert not out.exists()
+
+
 def test_analyze_unknown_stage_name_exits_two(en_bio_path, tmp_path, capsys):
     doc = tmp_path / "doc.txt"
     doc.write_text(ASPIRIN, encoding="utf-8")

@@ -452,6 +452,43 @@ def test_xml_and_tsv_list_the_same_relations(en_bio, de_core, case):
     assert _xml_relation_rows(emit_xml(doc), bundle) == tsv_rows
 
 
+# What a reader that splits lines on every Unicode line boundary (as
+# ``str.splitlines`` does) ends a line at, beyond the \n a tag file ends one at.
+_LINE_BREAKS = ["\r", "\x85", "\u2028", "\u2029"]
+
+
+@given(case=st.sampled_from(["en", "de"]).flatmap(lambda lang: st.tuples(st.just(lang), _documents(lang))),
+       data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_tag_files_give_the_same_relations_in_xml_and_tsv_or_an_input_error(
+    en_bio, de_core, en_bio_path, de_core_path, tmp_path_factory, case, data
+):
+    lang, text = case
+    bundle, bundle_path = (en_bio, en_bio_path) if lang == "en" else (de_core, de_core_path)
+    lines, broken = [], []
+    for sentence in analyze_text(bundle, text, stages=STAGES[:3]).sentences:
+        for t in sentence.tagged:
+            form = t.token.form
+            if data.draw(st.booleans()):
+                at = data.draw(st.integers(0, len(form)))
+                form = form[:at] + data.draw(st.sampled_from(_LINE_BREAKS)) + form[at:]
+                broken.append(len(lines) + 1)
+            lines.append(f"{form}\t{t.source_tag}\n")
+        lines.append("\n")
+    tags = tmp_path_factory.mktemp("tags") / "tags.tsv"
+    tags.write_bytes("".join(lines).encode("utf-8"))
+    try:
+        doc = run_pipeline(bundle_path, external_tags=tags, lenient=True)
+    except InputError as exc:
+        assert broken and f" line {broken[0]}: " in str(exc)
+        return
+    tsv_rows = [
+        (row[0], row[1], row[3], row[5])
+        for row in (line.split("\t") for line in export_relations(doc).splitlines()[1:])
+    ]
+    assert _xml_relation_rows(emit_xml(doc), bundle) == tsv_rows
+
+
 # Words glued to whitespace and control characters: the form feed, \v and
 # \x1c-\x1f that XML cannot carry but that separate words, C0 controls,
 # U+FFFE/U+FFFF and lone surrogates that it cannot carry either, and DEL

@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 
 import xdoc.semantics
 from xdoc.errors import UnknownConcept
-from xdoc.parsing import ParseTree, chunks, complete_parses, first_parse, parse
+from xdoc.parsing import ParseTree, complete_parses, parse
 from xdoc.resources import (
     Category,
-    Grammar,
-    GrammarRule,
+    GF_SLOTS,
     GrammaticalFunction,
     Ontology,
     PatternItem,
@@ -181,17 +180,6 @@ def svo_tree() -> ParseTree:
     )
 
 
-def built_by(tree: ParseTree) -> Grammar:
-    """A grammar that builds ``tree``: one rule per parent and child names in it."""
-    shapes = dict.fromkeys(
-        (n.category.name, tuple(c.category.name for c in n.children), n.head)
-        for n in tree.preorder() if n.children
-    )
-    return Grammar(tree.category.name, tuple(
-        GrammarRule(Category(lhs), tuple(map(Category, rhs)), head + 1) for lhs, rhs, head in shapes
-    ))
-
-
 # The two declaration styles the shipped bundles use: en-bio places its
 # functions around the verb, de-core marks them by case.
 POSITIONAL = (
@@ -205,21 +193,21 @@ CASE_MARKED = (
 
 
 def test_positional_subject_and_object():
-    functions = grammatical_functions(svo_tree(), POSITIONAL, built_by(svo_tree()))
+    functions = grammatical_functions(svo_tree(), POSITIONAL)
     assert (functions["subject"].start, functions["subject"].end) == (0, 1)
     assert (functions["object"].start, functions["object"].end) == (2, 3)
 
 
 def test_positional_without_object():
     tree = node("S", [node("NP", [leaf("N", 0)]), node("VP", [leaf("V", 1)])], head=1)
-    functions = grammatical_functions(tree, POSITIONAL, built_by(tree))
+    functions = grammatical_functions(tree, POSITIONAL)
     assert "subject" in functions
     assert "object" not in functions
 
 
 def test_positional_without_vp_binds_nothing():
     tree = node("S", [node("NP", [leaf("N", 0)])])
-    assert grammatical_functions(tree, POSITIONAL, built_by(tree)) == {}
+    assert grammatical_functions(tree, POSITIONAL) == {}
 
 
 def test_case_marked_subject_found_postverbally():
@@ -234,7 +222,7 @@ def test_case_marked_subject_found_postverbally():
         ],
         head=1,
     )
-    functions = grammatical_functions(tree, CASE_MARKED, built_by(tree))
+    functions = grammatical_functions(tree, CASE_MARKED)
     assert (functions["subject"].start, functions["subject"].end) == (3, 5)
     assert (functions["object"].start, functions["object"].end) == (0, 2)
 
@@ -242,19 +230,18 @@ def test_case_marked_subject_found_postverbally():
 def test_first_node_in_preorder_binds_and_the_root_has_no_siblings():
     inner = node("NP", [node("NP", [leaf("N", 0)], case="nom"), leaf("X", 1)], case="nom")
     tree = node("NP", [inner, leaf("VP", 2)], case="nom")
-    grammar = built_by(tree)
-    by_case = grammatical_functions(tree, CASE_MARKED[:1], grammar)
+    by_case = grammatical_functions(tree, CASE_MARKED[:1])
     assert by_case["subject"] is tree
     # the root cannot meet a sibling condition, so its first child binds
-    placed = grammatical_functions(tree, POSITIONAL[:1], grammar)
+    placed = grammatical_functions(tree, POSITIONAL[:1])
     assert placed["subject"] is inner
     # a declared feature must be carried with its value
-    assert grammatical_functions(tree, CASE_MARKED[1:], grammar) == {}
+    assert grammatical_functions(tree, CASE_MARKED[1:]) == {}
     # one node may bind several functions
     both = (GrammaticalFunction("subject", Category("X")),
             GrammaticalFunction("object", Category("X"), after="NP"))
-    assert grammatical_functions(tree, both, grammar) == {"subject": inner.children[1],
-                                                  "object": inner.children[1]}
+    assert grammatical_functions(tree, both) == {"subject": inner.children[1],
+                                         "object": inner.children[1]}
 
 
 def test_functions_bind_in_a_deep_tree_without_recursion():
@@ -262,37 +249,87 @@ def test_functions_bind_in_a_deep_tree_without_recursion():
     for _ in range(5000):
         tree = node("NP", [tree, leaf("V", 0)])
     functions = grammatical_functions(
-        tree, (GrammaticalFunction("object", Category("V"), after="N"),), built_by(tree)
+        tree, (GrammaticalFunction("object", Category("V"), after="N"),)
     )
     assert functions["object"].category.name == "V"
 
 
-def test_walk_skips_subtrees_that_cannot_hold_a_function(en_bio, de_core):
-    # The walk does not descend below a node whose category the grammar
-    # lets dominate no declared name, and binds what a walk pruned only
-    # by the tree's own shape binds.
-    assert en_bio.grammar.compiled.dominators(frozenset({"NP"})) == {"S", "VP"}
-    assert de_core.grammar.compiled.dominators(frozenset({"NP"})) == {"S", "VP", "NP"}
-    assert en_bio.grammar.compiled.dominators(frozenset({"DET", "V"})) == {"S", "VP", "NP"}
-    cases = [
-        (en_bio, [["N", "V", "N"], ["DET", "N", "V", "DET", "N"], ["N", "N", "V"], ["V", "N", "N"]]),
-        (de_core, [["DETN", "N", "V", "DETA", "N", "DETG", "N"], ["DETA", "N", "DETG", "N", "V"]]),
-    ]
-    for bundle, inputs in cases:
-        grammar = bundle.grammar
-        for tags in inputs:
-            chart = parse(tags, grammar)
-            tree = first_parse(chart, grammar.start_symbol)
-            for tree in [tree] if tree is not None else chunks(chart):
-                for functions in (bundle.functions, POSITIONAL, CASE_MARKED):
-                    assert grammatical_functions(tree, functions, grammar) == grammatical_functions(
-                        tree, functions, built_by(tree)
-                    )
-    # A tree the grammar could not build is walked only as far as it allows.
-    tree = node("NP", [node("S", [node("NP", [leaf("N", 0)])])])
-    subject = (GrammaticalFunction("subject", Category("S")),)
-    assert grammatical_functions(tree, subject, built_by(tree)) == {"subject": tree.children[0]}
-    assert grammatical_functions(tree, subject, en_bio.grammar) == {}
+# Random trees over a few names and features, some of them long unary or
+# binary chains, and random declarations of every grammatical function.
+TREE_NAMES = ("S", "NP", "VP", "N", "V")
+TREE_FEATURES = (("case", "nom"), ("case", "acc"), ("num", "sg"))
+
+
+def feature_sets(max_size: int = 2):
+    return st.lists(st.sampled_from(TREE_FEATURES), max_size=max_size).map(dict)
+
+
+@st.composite
+def random_trees(draw) -> ParseTree:
+    shapes = st.recursive(
+        st.tuples(st.sampled_from(TREE_NAMES), feature_sets(), st.just(())),
+        lambda kids: st.tuples(st.sampled_from(TREE_NAMES), feature_sets(),
+                               st.lists(kids, min_size=1, max_size=3).map(tuple)),
+        max_leaves=12,
+    )
+    shape = draw(shapes)
+    links = st.tuples(st.sampled_from(TREE_NAMES), feature_sets(), st.sampled_from(TREE_NAMES), st.integers(0, 2))
+    length = draw(st.integers(0, 40))
+    for name, features, other, side in draw(st.lists(links, min_size=length, max_size=length)):
+        leaf_shape = (other, {}, ())
+        shape = (name, features, [(shape,), (shape, leaf_shape), (leaf_shape, shape)][side])
+
+    def build(shape, start: int) -> ParseTree:
+        name, features, kids = shape
+        if not kids:
+            return leaf(name, start, **features)
+        children = []
+        for kid in kids:
+            children.append(build(kid, start))
+            start = children[-1].end
+        return node(name, children, **features)
+
+    return build(shape, 0)
+
+
+@st.composite
+def random_declarations(draw) -> tuple[GrammaticalFunction, ...]:
+    gfs = draw(st.lists(st.sampled_from(sorted(GF_SLOTS)), unique=True, min_size=1, max_size=len(GF_SLOTS)))
+    sibling = st.none() | st.sampled_from(TREE_NAMES)
+    return tuple(
+        GrammaticalFunction(gf, Category(draw(st.sampled_from(TREE_NAMES)), draw(feature_sets(1))),
+                            after=draw(sibling), before=draw(sibling))
+        for gf in gfs
+    )
+
+
+def placed(tree: ParseTree, earlier=(), later=()):
+    """Each node in pre-order, with the names of its earlier and its later siblings."""
+    yield tree, earlier, later
+    names = [kid.category.name for kid in tree.children]
+    for i, kid in enumerate(tree.children):
+        yield from placed(kid, names[:i], names[i + 1 :])
+
+
+def first_selected(tree: ParseTree, function: GrammaticalFunction) -> ParseTree | None:
+    """The first pre-order node ``function`` selects, found by trying every node."""
+    needed = function.category
+    for candidate, earlier, later in placed(tree):
+        features = dict(candidate.category.features)
+        if (candidate.category.name == needed.name
+                and all(features.get(key) == value for key, value in needed.features)
+                and (function.after is None or function.after in earlier)
+                and (function.before is None or function.before in later)):
+            return candidate
+    return None
+
+
+@given(random_trees(), random_declarations())
+@settings(max_examples=100, deadline=None)
+def test_each_function_binds_the_first_preorder_node_it_selects(tree, functions):
+    expected = {f.gf: id(found) for f in functions if (found := first_selected(tree, f)) is not None}
+    bound = grammatical_functions(tree, functions)
+    assert {gf: id(found) for gf, found in bound.items()} == expected
 
 
 def _shipped_names(*bundles) -> set[str]:

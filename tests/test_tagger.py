@@ -236,6 +236,23 @@ def test_import_external_tags_tolerates_crlf(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("brk", ["\r", "\x85", "\u2028", "\u2029"])
+@pytest.mark.parametrize("line", ["Her{}stellers\tNN", "Herstellers{}\tNN", "Herstellers\tN{}N", "Herstellers\tNN{}\r"])
+def test_import_external_tags_refuses_a_line_break_in_a_form_or_tag(tmp_path, brk, line):
+    from xdoc.errors import InputError
+
+    path = tmp_path / "tags.tsv"
+    path.write_bytes(f"des\tARTG\n{line.format(brk)}\n".encode())
+    with pytest.raises(InputError, match=f"line 2: line break U\\+{ord(brk):04X} inside a form or tag"):
+        import_external_tags(path)
+
+
+def test_import_external_tags_takes_line_breaks_on_a_blank_line(tmp_path):
+    path = tmp_path / "tags.tsv"
+    path.write_bytes("a\tX\n\r\u2028\x85\u2029\r\nb\tY\n".encode())
+    assert [[t.token.form for t in sentence] for sentence in import_external_tags(path)] == [["a"], ["b"]]
+
+
 def test_import_external_tags_rejects_non_utf8(tmp_path):
     from xdoc.errors import InputError
 
