@@ -7,7 +7,7 @@ bundle.  Analyzing a new language means writing a bundle, not code.
 """
 
 from .errors import AnalysisError, InputError, ResourceError, XdocError
-from .parsing import chunks, complete_parses, parse
+from .parsing import chunks, parse
 from .pipeline import (
     STAGES,
     AnnotatedDocument,
@@ -24,7 +24,6 @@ from .semantics import (
     semantic_tag,
     subsumes,
 )
-from .structure import split_sentences, tokenize
 from .tagging import apply_rules, initial_tag, map_tagset
 
 __version__ = "0.1.0"
@@ -39,7 +38,6 @@ __all__ = [
     "analyze_text",
     "apply_rules",
     "chunks",
-    "complete_parses",
     "emit_xml",
     "export_relations",
     "grammatical_functions",
@@ -52,8 +50,6 @@ __all__ = [
     "run_pipeline",
     "semantic_tag",
     "serialize_bundle",
-    "split_sentences",
     "subsumes",
-    "tokenize",
     "validate_bundle",
 ]

@@ -1,9 +1,10 @@
 """Command line interface.
 
 Subcommands: validate a bundle, analyze a document, dump the tagger
-output, or parse a tag sequence.  Exit codes: 0 success, 1 resource
-error, 2 input error, 3 analysis error in strict mode, 4 internal error
-(any other exception, reported in one line without a traceback).
+output, or count a tag sequence's parse trees and print the first.  Exit
+codes: 0 success, 1 resource error, 2 input error, 3 analysis error in
+strict mode, 4 internal error (any other exception, reported in one line
+without a traceback).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .errors import AnalysisError, InputError, ResourceError
-from .parsing import complete_parses, parse, render_bracketed
+from .parsing import count_trees, first_parse, parse, render_bracketed
 from .pipeline import (
     STAGES,
     _load_validated,
@@ -158,8 +159,10 @@ def _cmd_parse(args: argparse.Namespace) -> int:
     if not tags:
         raise InputError("no tags given")
     chart = parse(tags, bundle.grammar)
-    trees = complete_parses(chart, bundle.grammar.start_symbol)
-    _write_output(None, "".join(render_bracketed(tree) + "\n" for tree in trees))
+    start = bundle.grammar.start_symbol
+    count = count_trees(chart, start)
+    first = f"{render_bracketed(first_parse(chart, start))}\n" if count else ""
+    _write_output(None, f"trees: {count}\n{first}")
     return EXIT_OK
 
 
@@ -188,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", default="-")
     p.set_defaults(func=_cmd_tag)
 
-    p = sub.add_parser("parse", help="parse a parser-tag sequence and print trees")
+    p = sub.add_parser("parse", help="count the trees of a parser-tag sequence and print the first")
     p.add_argument("--bundle", required=True)
     p.add_argument("--tags", required=True, help='e.g. "DET N V DET N"')
     p.set_defaults(func=_cmd_parse)

@@ -59,18 +59,6 @@ class UnmappedTag(AnalysisError):
         self.offset = offset
 
 
-class TooAmbiguous(AnalysisError):
-    """Listing every tree would exceed the ambiguity cap.
-
-    Raised by ``complete_parses`` and so by ``xdoc parse``; the analysis
-    pipeline reads one tree and never raises it.
-    """
-
-    def __init__(self, limit: int):
-        super().__init__(f"more than {limit} parse trees; refusing to enumerate")
-        self.limit = limit
-
-
 class UnknownConcept(XdocError):
     """A concept id was looked up that the ontology does not define."""
 

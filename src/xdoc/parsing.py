@@ -41,11 +41,12 @@ by their least rule index (their first derivation's), then category.
 demands.  Such charts are acyclic: every node has a tree and none recurs
 within one, so no reader backtracks.  :func:`first_parse` and
 :func:`chunks` take each node's first derivation, at the cost of the
-tree's size.  Only :func:`complete_parses` lists every tree, in one
-post-order walk whose per-node lists stop at ``TREE_LIMIT``: no node has
-more trees than a root above it.  Every walk keeps an explicit stack, so
-no input depth meets the recursion limit.  :attr:`Chart.nodes` lists
-every node with its derivations, built on first use from the same
+tree's size.  No reader lists every tree: :func:`count_trees` counts
+them in one post-order pass, each node's count the sum over its
+derivations of the product of its children's counts (Billot & Lang
+1989), an exact ``int`` at any ambiguity.  Every walk keeps an explicit
+stack, so no input depth meets the recursion limit.  :attr:`Chart.nodes`
+lists every node with its derivations, built on first use from the same
 enumerator for tests and tracing; no reader needs it.
 Trees are :class:`ParseTree` values, a :class:`typing.NamedTuple`
 built once per tree node: immutable and hashable, and, being a tuple,
@@ -55,25 +56,23 @@ a tree unpacks, has a ``len`` and equals a plain tuple of its fields.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import cached_property
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import EmptyInput, ResourceError, TooAmbiguous
+from .errors import EmptyInput, ResourceError
 from .resources import Category, CompiledGrammar, Grammar
 
 __all__ = [
-    "TREE_LIMIT",
     "ParseTree",
     "Chart",
     "parse",
     "first_parse",
-    "complete_parses",
+    "count_trees",
     "chunks",
     "render_bracketed",
     "features_match",
 ]
-
-TREE_LIMIT = 256
 
 # A node is (category id, start, end).  A derivation is (rule index,
 # child nodes); rule index None marks a terminal leaf covering exactly
@@ -457,57 +456,33 @@ def _roots(chart: Chart, start_symbol: str) -> list[Key]:
 
 
 def first_parse(chart: Chart, start_symbol: str) -> ParseTree | None:
-    """The first tree :func:`complete_parses` would list, or None if it lists none.
+    """The start symbol's first tree over the full span, or None if it has none.
 
-    Reads one tree, however many the chart packs; never raises
-    :class:`TooAmbiguous`.
+    The first root, each node read by its first derivation, in the order
+    the module docstring gives: one tree, however many the chart packs.
     """
     roots = _roots(chart, start_symbol)
     return _first_trees(chart, roots[:1])[0] if roots else None
 
 
-def complete_parses(chart: Chart, start_symbol: str) -> list[ParseTree]:
-    """Every distinct derivation of the start symbol over the full span.
-
-    Trees come in derivation order, roots by least rule index, then
-    category.  Raises
-    :class:`TooAmbiguous` beyond ``TREE_LIMIT`` trees.
-    """
+def count_trees(chart: Chart, start_symbol: str) -> int:
+    """The exact number of the start symbol's trees over the full span."""
     roots = _roots(chart, start_symbol)
-    compiled = chart.grammar.compiled
-    categories = compiled.categories
     derivations_of: dict[Key, list[Derivation]] = {}
-    trees_of: dict[Key, list[ParseTree]] = {}
+    counts: dict[Key, int] = {}
     stack = list(roots)
-    while stack:  # post-order: a node's lists are built after its children's
-        node = stack[-1]
-        if node in trees_of:
-            stack.pop()
+    while stack:  # post-order: a node's second visit counts it, after its children
+        node = stack.pop()
+        if node in counts:
             continue
         derivations = derivations_of.get(node)
         if derivations is None:
             derivations = derivations_of[node] = list(_derivations(chart, node))
-        unread = [c for _, children in derivations for c in children if c not in trees_of]
-        if unread:
-            stack.extend(unread)
+            stack.append(node)
+            stack.extend(c for _, children in derivations for c in children)
             continue
-        stack.pop()
-        cat, start, end = node
-        trees: list[ParseTree] = []
-        for rule_idx, children in derivations:
-            if rule_idx is None:
-                trees.append(ParseTree(categories[cat], start, end))
-                continue
-            head = compiled.heads[rule_idx]
-            for combo in itertools.product(*(trees_of[c] for c in children)):
-                if len(trees) == TREE_LIMIT:
-                    raise TooAmbiguous(TREE_LIMIT)
-                trees.append(ParseTree(categories[cat], start, end, combo, head, rule_idx))
-        trees_of[node] = trees
-    listed = [tree for root in roots for tree in trees_of[root]]
-    if len(listed) > TREE_LIMIT:
-        raise TooAmbiguous(TREE_LIMIT)
-    return listed
+        counts[node] = sum(math.prod(counts[c] for c in children) for _, children in derivations)
+    return sum(counts[root] for root in roots)
 
 
 def chunks(chart: Chart) -> list[ParseTree]:

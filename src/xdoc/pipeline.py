@@ -2,17 +2,17 @@
 
 Stages run in a fixed order: tok, sent, tag, map, parse, sem, frames,
 rel.  A run selects a prefix of that order.  Sentences reach the stage
-loop from one of two segmenters: the tokenizer and sentence splitter
-for raw text, or the import adapter for an external tag file, whose
-tags stand for the tag stage's output; the stage loop alone decides
-what a prefix keeps, so a prefix means the same for both inputs.
-Strict runs abort on the first analysis error; lenient runs record a
-diagnostic on the failing sentence and continue with the rest.
+loop from one of two segmenters: :func:`xdoc.structure.segment` for raw
+text, or the import adapter for an external tag file, whose tags stand
+for the tag stage's output; the stage loop alone decides what a prefix
+keeps, so a prefix means the same for both inputs.  Strict runs abort
+on the first analysis error; lenient runs record a diagnostic on the
+failing sentence and continue with the rest.
 
-The parse stage keeps one tree per sentence, the first that
-``complete_parses`` would list, and reads only that tree off the packed
-chart, so no sentence is refused for its number of readings.  A sentence
-without a complete parse falls back to chunks.
+The parse stage keeps one tree per sentence, the first in the
+derivation order of :mod:`xdoc.parsing`, and reads only that tree off
+the packed chart, so no sentence is refused for its number of readings.
+A sentence without a complete parse falls back to chunks.
 
 A sentence's ``tagged`` holds every token with all its annotations and
 ``parse_input`` its words, the same objects; both are set once per sentence.

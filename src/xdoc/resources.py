@@ -68,6 +68,19 @@ _TRIGGER_OFFSETS = {"prev_tag": -1, "next_tag": 1, "prev2_tag": -2, "next2_tag":
 TRIGGERS = frozenset(_TRIGGER_OFFSETS)
 GF_SLOTS = frozenset({"subject", "object"})
 
+# What a reader splitting lines on any Unicode line boundary ends a line
+# at, beyond \n and the characters XML refuses anyway; with \n and tab,
+# what would split a row of the relation table, which copies relation
+# names and concept ids.
+_LINE_BREAKS = "\r\x85\u2028\u2029"
+_ROW_BREAK = re.compile(f"[\t\n{_LINE_BREAKS}]")
+
+
+def _check_row_text(what: str, value: str) -> None:
+    bad = _ROW_BREAK.search(value)
+    if bad is not None:
+        raise ValueError(f"{what} {value!r} holds U+{ord(bad.group()):04X}, which splits a relation table row")
+
 
 def _feature_items(features: object) -> tuple[tuple[str, str], ...]:
     if isinstance(features, Mapping):
@@ -328,6 +341,7 @@ class CaseFrame:
     slots: tuple[FrameSlot, ...]
 
     def __post_init__(self) -> None:
+        _check_row_text("relation", self.relation)
         clash = _slot_clash(self.slots)
         if clash is not None:
             raise ValueError(clash[1])
@@ -361,8 +375,9 @@ def _check_acyclic(isa: Mapping[str, frozenset[str]], concepts: frozenset[str]) 
 class Ontology:
     """Concepts, their isa parents and the concept of each semantic class.
 
-    Every isa source and target and every lexmap target is a concept,
-    and the isa graph is acyclic (:class:`CyclicOntology` otherwise).
+    Every isa source and target and every lexmap target is a concept, no
+    concept id holds a tab or line break, and the isa graph is acyclic
+    (:class:`CyclicOntology` otherwise).
     """
 
     concepts: frozenset[str] = frozenset()
@@ -370,6 +385,8 @@ class Ontology:
     lexmap: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if _ROW_BREAK.search("".join(self.concepts)):
+            _check_row_text("concept id", min(c for c in self.concepts if _ROW_BREAK.search(c)))
         for cid, parents in self.isa.items():
             if cid not in self.concepts:
                 raise ValueError(f"isa source {cid!r} is not a concept")
@@ -400,6 +417,7 @@ class StructPattern:
     arg2: int
 
     def __post_init__(self) -> None:
+        _check_row_text("relation", self.relation)
         n = len(self.rhs_match)
         if not (1 <= self.arg1 <= n and 1 <= self.arg2 <= n):
             raise ValueError("argument indices outside pattern bounds")
@@ -846,10 +864,14 @@ _GRAMMAR_RULE = _GrammarRuleRecord()
 
 def _ontology(concepts: dict, lexmap: dict) -> dict:
     """The ontology of the folded records.  Keys are unique and folds keep
-    document order, so the first isa or lexmap target that is no concept
-    is refused where it stands; the constructor raises CyclicOntology
-    for an isa cycle."""
-    for i, parents in enumerate(concepts.values(), 1):
+    document order, so the first concept id or isa or lexmap target the
+    constructor would refuse is refused where it stands; the constructor
+    raises CyclicOntology for an isa cycle."""
+    for i, (cid, parents) in enumerate(concepts.items(), 1):
+        try:
+            _check_row_text("concept id", cid)
+        except ValueError as exc:
+            raise _at(f"concept[{i}]", exc) from None
         for j, ref in enumerate(parents, 1):
             if ref not in concepts:
                 reason = f"isa target {ref!r} is not a concept"

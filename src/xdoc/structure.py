@@ -23,8 +23,6 @@ __all__ = [
     "TERMINATORS",
     "Token",
     "Sentence",
-    "tokenize",
-    "split_sentences",
     "segment",
     "is_punctuation",
 ]
@@ -128,7 +126,7 @@ def _scan(text: str, abbreviations: frozenset[str]) -> tuple[list[Token], set[in
     return tokens, after_blank_line
 
 
-def _group(tokens: Iterable[Token], abbrevs: Container[str], breaks: Container[int] = ()) -> list[Sentence]:
+def _group(tokens: Iterable[Token], abbrevs: Container[str], breaks: Container[int]) -> list[Sentence]:
     """End a sentence before each token whose id is in ``breaks`` and after
     each standalone terminator that is not an abbreviation."""
     sentences: list[Sentence] = []
@@ -146,35 +144,14 @@ def _group(tokens: Iterable[Token], abbrevs: Container[str], breaks: Container[i
     return sentences
 
 
-def tokenize(text: str, abbreviations: Iterable[str] = ()) -> list[Token]:
-    """Split text into tokens with byte offsets.
-
-    Tokens cover every non-whitespace run.  Hyphens and digit-internal
-    punctuation stay inside tokens (``COX-2`` and ``3.5`` are single
-    tokens); an abbreviation such as ``Dr.`` keeps its period.
-    """
-    return _scan(text, frozenset(abbreviations))[0]
-
-
-def split_sentences(
-    tokens: Iterable[Token], abbreviations: Iterable[str] = ()
-) -> list[Sentence]:
-    """Group tokens into sentences.
-
-    A sentence ends at each standalone terminator token (``.`` ``!``
-    ``?``).  Abbreviation tokens never end a sentence; they keep their
-    period inside the form, so they are never standalone terminators
-    unless the abbreviation set itself lists a bare terminator.  A final
-    run without terminator still forms a sentence.
-    """
-    return _group(tokens, set(abbreviations))
-
-
 def segment(text: str, abbreviations: Iterable[str] = ()) -> tuple[list[Token], list[Sentence]]:
-    """Tokenize and split, with blank lines resetting sentence state.
+    """Tokens with byte offsets, covering every non-whitespace run, and their sentences.
 
-    Paragraph gaps force a sentence boundary even without a terminator;
-    they produce no structure element of their own.
+    Hyphens and digit-internal punctuation stay inside tokens (``COX-2``
+    and ``3.5``); an abbreviation such as ``Dr.`` keeps its period, so it
+    ends no sentence.  A sentence ends at each standalone terminator
+    (``.`` ``!`` ``?``) and at each blank line, which makes no element of
+    its own; a final run without terminator is a sentence too.
     """
     abbrevs = frozenset(abbreviations)  # the same object when given a frozenset
     tokens, after_blank_line = _scan(text, abbrevs)

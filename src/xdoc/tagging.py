@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InputError, MalformedLine, ResourceError, UnmappedTag
-from .resources import _NOT_XML, _TRIGGER_OFFSETS, ContextRule, ResourceBundle
+from .resources import _LINE_BREAKS, _NOT_XML, _TRIGGER_OFFSETS, ContextRule, ResourceBundle
 from .structure import Sentence, Token
 
 __all__ = [
@@ -111,9 +111,6 @@ def apply_rules(
     ]
 
 
-# What a reader splitting lines on any Unicode line boundary ends a line
-# at, beyond \n and the characters XML refuses anyway.
-_LINE_BREAKS = "\r\x85\u2028\u2029"
 _LINE_BREAK = re.compile(f"[{_LINE_BREAKS}]")
 
 

@@ -3,10 +3,11 @@ interned, kept as a test-only reference.
 
 This is the code of ``xdoc.parsing`` (``_Node``, ``_ActiveEdge``,
 ``Chart``, ``parse``, ``complete_parses``, ``chunks`` and their helpers)
-from before the integer-coded chart, copied verbatim with one change:
+from before the integer-coded chart, copied verbatim with two changes:
 ``parse`` builds its rule index and memo tables per call instead of
 reading ``grammar.compiled``, so it shares no state with the parser
-under test.  ``ParseTree`` is imported so that trees from both compare
+under test; and trees are counted (:func:`count_trees`) and listed
+without the cap of 256 trees the listing then had.  ``ParseTree`` is imported so that trees from both compare
 equal.  The new chart must equal this one node for node: same ids,
 categories, spans and derivation lists in the same order.
 """
@@ -18,11 +19,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from xdoc.errors import EmptyInput, TooAmbiguous
+from xdoc.errors import EmptyInput
 from xdoc.parsing import ParseTree
 from xdoc.resources import Category, Grammar
-
-TREE_LIMIT = 256
 
 # A derivation is (rule index, child node ids); rule index None marks a
 # terminal leaf covering exactly one input position.
@@ -208,12 +207,7 @@ def _count_trees(chart: Chart, node: _Node, memo: dict[int, int], path: set[int]
         product = 1
         for child_id in children:
             product *= _count_trees(chart, chart.node(child_id), memo, path)
-            if product > TREE_LIMIT:
-                break
         total += product
-        if total > TREE_LIMIT:
-            total = TREE_LIMIT + 1
-            break
     path.discard(node.id)
     memo[node.id] = total
     return total
@@ -281,26 +275,31 @@ def _first_tree(chart: Chart, node: _Node, path: set[int]) -> ParseTree | None:
         path.discard(node.id)
 
 
-def complete_parses(chart: Chart, start_symbol: str) -> list[ParseTree]:
-    """Every distinct derivation of the start symbol over the full span.
-
-    Trees are enumerated deterministically (rule index, then child
-    spans).  Raises :class:`TooAmbiguous` beyond ``TREE_LIMIT`` trees.
-    """
-    roots = [
+def _roots(chart: Chart, start_symbol: str) -> list[_Node]:
+    return [
         node
         for node in chart.nodes
         if node.category.name == start_symbol
         and node.start == 0
         and node.end == chart.length
     ]
-    count_memo: dict[int, int] = {}
-    total = sum(_count_trees(chart, node, count_memo, set()) for node in roots)
-    if total > TREE_LIMIT:
-        raise TooAmbiguous(TREE_LIMIT)
+
+
+def count_trees(chart: Chart, start_symbol: str) -> int:
+    """How many trees :func:`complete_parses` lists, counted without listing them."""
+    memo: dict[int, int] = {}
+    return sum(_count_trees(chart, node, memo, set()) for node in _roots(chart, start_symbol))
+
+
+def complete_parses(chart: Chart, start_symbol: str) -> list[ParseTree]:
+    """Every distinct derivation of the start symbol over the full span.
+
+    Trees are enumerated deterministically (rule index, then child
+    spans).
+    """
     trees: list[ParseTree] = []
     memo: dict[int, list[ParseTree]] = {}
-    for node in roots:
+    for node in _roots(chart, start_symbol):
         trees.extend(_enumerate_trees(chart, node, memo, set()))
     return trees
 

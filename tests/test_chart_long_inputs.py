@@ -22,7 +22,7 @@ from xdoc.parsing import parse
 
 @given(st.integers(0, 2**32 - 1))
 @example(582)  # a tie the reference breaks otherwise: chunks differ
-@example(952)  # and complete_parses of S
+@example(952)  # and the trees of S
 @settings(max_examples=50, deadline=None)
 def test_chart_equals_reference_on_longer_inputs(seed):
     rng = random.Random(seed)

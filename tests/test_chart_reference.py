@@ -4,17 +4,19 @@
 were interned.  Both charts must hold the same nodes (category, start,
 end), and each node the same derivations, naming children by their
 (category, start, end).  Where the grammar has no unary rule cycle the
-tree readers must give the same trees, chunk covers and ``TooAmbiguous``
-verdicts, compared as lists.  Three orders the reference leaves to
-creation order this parser ranks by category (name, features): two
-derivations of one node that agree on rule and child ends, several
-start-symbol roots (after their least rule index), and several longest
-chunk candidates of one least rule.  Only those are normalised on the
-reference side before comparing.
+tree readers must give the same chunk covers, first trees and tree
+counts, and, up to ``LISTED`` trees, the same trees, listed here by
+:func:`list_trees` and compared as lists.  Three orders the reference
+leaves to creation order this parser ranks by category (name,
+features): two derivations of one node that agree on rule and child
+ends, several start-symbol roots (after their least rule index), and
+several longest chunk candidates of one least rule.  Only those are
+normalised on the reference side before comparing.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -23,9 +25,35 @@ from hypothesis import strategies as st
 
 import reference_parser
 from grammargen import TERMINAL_POOL, feature_tags, random_case, to_grammar
-from xdoc.errors import ResourceError, TooAmbiguous
-from xdoc.parsing import chunks, complete_parses, first_parse, parse
+from xdoc.errors import ResourceError
+from xdoc.parsing import ParseTree, _derivations, _roots, chunks, count_trees, first_parse, parse
 from xdoc.resources import Grammar
+
+LISTED = 256  # charts with more trees are compared by count and first tree
+
+
+def list_trees(chart, start_symbol: str) -> list[ParseTree]:
+    """Every tree of the start symbol over the full span, in derivation order.
+
+    Each node's trees are its derivations' in order, each derivation's
+    the product of its children's trees; roots come in reader order.
+    Recursive, and as long as the count: for small, shallow charts.
+    """
+    compiled = chart.grammar.compiled
+    memo: dict[tuple, list[ParseTree]] = {}
+
+    def trees(node) -> list[ParseTree]:
+        if node not in memo:
+            cat, start, end = node
+            memo[node] = [
+                ParseTree(compiled.categories[cat], start, end, combo,
+                          0 if rule is None else compiled.heads[rule], rule)
+                for rule, children in _derivations(chart, node)
+                for combo in itertools.product(*map(trees, children))
+            ]
+        return memo[node]
+
+    return [tree for root in _roots(chart, start_symbol) for tree in trees(root)]
 
 
 def derivation_table(chart) -> dict[tuple, set]:
@@ -85,9 +113,7 @@ def reference_trees(expected, start_symbol: str):
     The reference lists roots in creation order; the trees of each root
     stay in its order.
     """
-    trees = trees_or_verdict(reference_parser.complete_parses, expected, start_symbol)
-    if isinstance(trees, tuple):
-        return trees
+    trees = reference_parser.complete_parses(expected, start_symbol)
     rank = {n.category: i for i, n in enumerate(reference_roots(expected, start_symbol))}
     return sorted(trees, key=lambda tree: rank[tree.category])
 
@@ -109,20 +135,13 @@ def reference_chunks(expected) -> list:
     return out
 
 
-def trees_or_verdict(read, chart, start_symbol):
-    try:
-        return read(chart, start_symbol)
-    except TooAmbiguous as exc:
-        return ("TooAmbiguous", exc.limit)
-
-
 def assert_same_as_reference(tags, grammar) -> bool:
     """Compare with the reference; returns whether its chart has a derivation tie."""
     chart = parse(tags, grammar)
     expected = reference_parser.parse(tags, grammar)
     assert derivation_table(chart) == derivation_table(expected)
     if grammar.compiled.cycle_rules:
-        for read in (chunks, lambda chart: complete_parses(chart, grammar.start_symbol)):
+        for read in (chunks, lambda chart: count_trees(chart, grammar.start_symbol)):
             with pytest.raises(ResourceError, match="unary cycle"):
                 read(chart)
         return False
@@ -130,19 +149,22 @@ def assert_same_as_reference(tags, grammar) -> bool:
     break_ties_by_category(expected)
     assert chunks(chart) == reference_chunks(expected)
     for symbol in sorted(grammar.lhs_names()):
-        got = trees_or_verdict(complete_parses, chart, symbol)
-        assert got == reference_trees(expected, symbol)
+        count = count_trees(chart, symbol)
+        assert count == reference_parser.count_trees(expected, symbol)
         roots = reference_roots(expected, symbol)
         first = reference_parser._first_tree(expected, roots[0], set()) if roots else None
         assert first_parse(chart, symbol) == first
-        if not isinstance(got, tuple):
-            assert first == (got[0] if got else None)
+        if count <= LISTED:
+            trees = list_trees(chart, symbol)
+            assert trees == reference_trees(expected, symbol)
+            assert len(trees) == count
+            assert first == (trees[0] if trees else None)
     return tied
 
 
 @given(st.integers(0, 2**32 - 1))
 @example(1021)  # a tie the reference breaks otherwise: chunks differ
-@example(2045)  # and complete_parses of B
+@example(2045)  # and the trees of B
 @settings(max_examples=200, deadline=None)
 def test_chart_equals_reference_with_features(seed):
     rng = random.Random(seed)
@@ -182,7 +204,6 @@ def test_de_core_genitive_chain_equals_reference(de_core, nps):
 def test_de_core_clause_equals_reference(de_core, sizes):
     tags = clause(*sizes)
     assert_same_as_reference(tags, de_core.grammar)
-    # (4, 4) has 196 readings; (4, 5) and (6, 4) exceed the cap
-    verdict = trees_or_verdict(complete_parses, parse(tags, de_core.grammar), "S")
-    assert isinstance(verdict, tuple) == (sizes in ((4, 5), (6, 4)))
-    assert verdict  # a list of trees when under the cap
+    # (4, 4) has 196 readings and is listed; (4, 5) and (6, 4) are only counted
+    listed = count_trees(parse(tags, de_core.grammar), "S") <= LISTED
+    assert listed == (sizes not in ((4, 5), (6, 4)))

@@ -220,13 +220,46 @@ def test_tag_prints_three_columns(en_bio_path, tmp_path, capsys):
 
 def test_parse_prints_bracketed_tree(en_bio_path, capsys):
     assert main(["parse", "--bundle", en_bio_path, "--tags", "DET N V DET N"]) == 0
-    out = capsys.readouterr().out.strip()
-    assert out == "(S (NP DET N) (VP V (NP DET N)))"
+    out = capsys.readouterr().out
+    assert out == "trees: 1\n(S (NP DET N) (VP V (NP DET N)))\n"
 
 
-def test_parse_without_result_prints_nothing(en_bio_path, capsys):
+def test_parse_without_result_prints_a_zero_count(en_bio_path, capsys):
     assert main(["parse", "--bundle", en_bio_path, "--tags", "DET DET"]) == 0
-    assert capsys.readouterr().out == ""
+    assert capsys.readouterr().out == "trees: 0\n"
+
+
+@pytest.mark.parametrize("k, m, count", [(4, 5, 588), (20, 20, 43087676888260976400)])
+def test_parse_counts_every_reading_and_prints_the_first(de_core_path, capsys, k, m, count):
+    # DETN N (DETG N)*k V DETA N (DETG N)*m has Catalan(k) * Catalan(m)
+    # readings; the count is exact, and only the first tree is printed.
+    clause = "DETN N" + " DETG N" * k + " V DETA N" + " DETG N" * m
+    assert main(["parse", "--bundle", de_core_path, "--tags", clause]) == 0
+    count_line, tree, end = capsys.readouterr().out.split("\n")
+    assert (count_line, end) == (f"trees: {count}", "")
+    assert tree.startswith("(S ") and tree.count("(") == tree.count(")")
+
+
+@pytest.mark.parametrize(
+    "old, new, error",
+    [('relation="inhibits"', 'relation="in&#9;hibits"',
+      "frames/frame[1]: relation 'in\\thibits' holds U+0009"),
+     ('"substance"', '"sub&#9;stance"', "ontology/concept[2]: concept id 'sub\\tstance' holds U+0009")],
+    ids=["relation", "concept"],
+)
+def test_a_tab_the_relation_table_would_copy_is_a_resource_error(en_bio_path, tmp_path, capsys, old, new, error):
+    # Loaded, such a bundle would write a 7-field row under the 6-field header.
+    bundle = tmp_path / "tab.xml"
+    bundle.write_text(Path(en_bio_path).read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
+    doc = tmp_path / "doc.txt"
+    doc.write_text("Aspirin inhibits cyclooxygenase .\n", encoding="utf-8")
+    expected = f"resource error: {error}, which splits a relation table row\n"
+    assert main(["validate", str(bundle)]) == 1
+    assert capsys.readouterr().err == expected
+    tsv = tmp_path / "relations.tsv"
+    assert main(["analyze", "--bundle", str(bundle), "--input", str(doc), "--relations-tsv", str(tsv)]) == 1
+    assert capsys.readouterr().err == expected
+    assert not tsv.exists()
 
 
 def test_validate_missing_bundle_exits_one(capsys):
@@ -648,7 +681,7 @@ def test_stdout_is_utf8_whatever_the_locale(de_core_path, tmp_path, locale_env):
     parse = _run_module(["parse", "--bundle", str(bundle), "--tags", "DETN N V DETA N"], env)
     assert (validate.returncode, parse.returncode) == (0, 0), validate.stderr + parse.stderr
     assert validate.stdout.endswith(f"{bundle}: ok (de)\n".encode("utf-8"))
-    assert parse.stdout.startswith(b"(S ")
+    assert parse.stdout.startswith(b"trees: 1\n(S ")
 
 
 @pytest.mark.parametrize(

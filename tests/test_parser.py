@@ -12,14 +12,14 @@ from hypothesis import strategies as st
 import reference_parser
 from cyk_oracle import brute_force_spans, chart_spans, count_bracketings
 from grammargen import TERMINAL_POOL, feature_tags, random_case, to_grammar
-from test_chart_reference import clause
+from test_chart_reference import LISTED, clause, list_trees
 from xdoc import parsing
-from xdoc.errors import EmptyInput, ResourceError, TooAmbiguous
+from xdoc.errors import EmptyInput, ResourceError
 from xdoc.parsing import (
     ParseTree,
     _parent_category,
     chunks,
-    complete_parses,
+    count_trees,
     features_match,
     first_parse,
     parse,
@@ -71,11 +71,11 @@ def test_simple_sentence_chart_closure():
     chart = parse(["N", "V", "N"], EN_GRAMMAR)
     have = chart_spans(chart)
     assert {("NP", 0, 1), ("NP", 2, 3), ("VP", 1, 3), ("S", 0, 3)} <= have
-    trees = complete_parses(chart, "S")
-    assert len(trees) == 1
-    assert render_bracketed(trees[0]) == "(S (NP N) (VP V (NP N)))"
+    assert count_trees(chart, "S") == 1
+    tree = first_parse(chart, "S")
+    assert render_bracketed(tree) == "(S (NP N) (VP V (NP N)))"
     assert (
-        render_bracketed(trees[0], ["Aspirin", "inhibits", "cyclooxygenase"])
+        render_bracketed(tree, ["Aspirin", "inhibits", "cyclooxygenase"])
         == "(S (NP (N Aspirin)) (VP (V inhibits) (NP (N cyclooxygenase))))"
     )
 
@@ -87,22 +87,22 @@ def test_chart_matches_oracle_on_simple_sentence():
 
 def test_ambiguous_np_has_two_derivations():
     chart = parse(["N", "N", "N"], AMBIG_NP)
-    trees = complete_parses(chart, "NP")
-    assert len(trees) == 2 == count_bracketings(3)
+    trees = list_trees(chart, "NP")
+    assert len(trees) == 2 == count_bracketings(3) == count_trees(chart, "NP")
     rendered = {render_bracketed(t) for t in trees}
     assert rendered == {"(NP (NP N) (NP (NP N) (NP N)))", "(NP (NP (NP N) (NP N)) (NP N))"}
 
 
 def test_catalan_counts_match_bracketing_oracle():
-    for n in range(1, 7):
-        trees = complete_parses(parse(["N"] * n, AMBIG_NP), "NP")
-        assert len(trees) == count_bracketings(n)
+    for n in range(1, 41):
+        assert count_trees(parse(["N"] * n, AMBIG_NP), "NP") == count_bracketings(n)
 
 
 def test_single_unmatched_tag_leaves_terminal_edge_only():
     chart = parse(["DET"], EN_GRAMMAR)
     assert chart_spans(chart) == {("DET", 0, 1)}
-    assert complete_parses(chart, "S") == []
+    assert count_trees(chart, "S") == 0
+    assert first_parse(chart, "S") is None
 
 
 def test_empty_input_raises():
@@ -111,24 +111,25 @@ def test_empty_input_raises():
 
 
 def test_enumeration_is_deterministic():
-    first = [render_bracketed(t) for t in complete_parses(parse(["N"] * 5, AMBIG_NP), "NP")]
-    second = [render_bracketed(t) for t in complete_parses(parse(["N"] * 5, AMBIG_NP), "NP")]
-    assert first == second
+    first, second = parse(["N"] * 5, AMBIG_NP), parse(["N"] * 5, AMBIG_NP)
+    assert [n.derivations for n in first.nodes] == [n.derivations for n in second.nodes]
+    assert render_bracketed(first_parse(first, "NP")) == render_bracketed(first_parse(second, "NP"))
+    assert [render_bracketed(t) for t in list_trees(first, "NP")] == [
+        render_bracketed(t) for t in list_trees(second, "NP")
+    ]
 
 
-def test_too_ambiguous_is_refused():
-    with pytest.raises(TooAmbiguous):
-        complete_parses(parse(["N"] * 9, AMBIG_NP), "NP")
-
-
-def test_tree_limit_boundary_is_enumerable():
-    # 7 leaves give 132 bracketings, still under the cap of 256.
-    trees = complete_parses(parse(["N"] * 7, AMBIG_NP), "NP")
+def test_count_is_the_number_of_listed_trees():
+    # 7 leaves give 132 bracketings, each listed once.
+    for n in range(1, 8):
+        chart = parse(["N"] * n, AMBIG_NP)
+        trees = list_trees(chart, "NP")
+        assert count_trees(chart, "NP") == len(trees) == len(set(trees)) == count_bracketings(n)
     assert len(trees) == 132
 
 
 def test_trees_rederive_their_span():
-    for tree in complete_parses(parse(["N"] * 4, AMBIG_NP), "NP"):
+    for tree in list_trees(parse(["N"] * 4, AMBIG_NP), "NP"):
         for node in tree.preorder():
             assert node.leaf_positions() == list(range(node.start, node.end))
 
@@ -167,9 +168,8 @@ def test_readers_read_a_deep_chart_without_recursion():
     expected = [("S", i, depth + 1) for i in range(depth + 1)] + [("e", depth, depth + 1)]
     chart = parse(tags, RIGHT_RECURSIVE)
     first = first_parse(chart, "S")
-    (listed,) = complete_parses(chart, "S")
-    assert right_spine(first) == right_spine(listed) == expected
-    assert render_bracketed(first) == render_bracketed(listed)
+    assert count_trees(chart, "S") == 1
+    assert right_spine(first) == expected
     assert first.leaf_positions() == list(range(depth + 1))
     # A leading tag that no rule covers: no complete parse, two chunks.
     chart = parse(["y"] + tags, RIGHT_RECURSIVE)
@@ -322,37 +322,46 @@ def test_chunks_read_the_first_complete_parse(de_core):
     ]
     for tags, grammar, start_symbol, readings in cases:
         chart = parse(tags, grammar)
-        trees = complete_parses(chart, start_symbol)
-        assert len(trees) == readings
+        trees = list_trees(chart, start_symbol)
+        assert len(trees) == readings == count_trees(chart, start_symbol)
         assert chunks(chart) == [trees[0]]
         assert first_parse(chart, start_symbol) == trees[0]
 
 
 @pytest.mark.parametrize("sizes, readings", [((4, 5), 588), ((6, 4), 1848)])
-def test_first_parse_reads_a_clause_over_the_cap(de_core, monkeypatch, sizes, readings):
+def test_first_parse_reads_a_clause_of_many_readings(de_core, sizes, readings):
     chart = parse(clause(*sizes), de_core.grammar)
-    with pytest.raises(TooAmbiguous):
-        complete_parses(chart, "S")
-    tree = first_parse(chart, "S")
-    monkeypatch.setattr(parsing, "TREE_LIMIT", readings)  # lift the cap to list them all
-    trees = complete_parses(chart, "S")
+    assert count_trees(chart, "S") == readings
+    trees = list_trees(chart, "S")
     assert len(trees) == readings
-    assert tree == trees[0]
+    assert first_parse(chart, "S") == trees[0]
+
+
+def test_de_core_clauses_count_catalan_products(de_core):
+    # DETN N (DETG N)*k V DETA N (DETG N)*m: each genitive chain of k
+    # attaches in Catalan(k) ways, counted by a recurrence that does not
+    # use xdoc (count_bracketings(k + 1) is Catalan(k)).
+    for k in range(21):
+        for m in range(21):
+            expected = count_bracketings(k + 1) * count_bracketings(m + 1)
+            assert count_trees(parse(clause(k, m), de_core.grammar), "S") == expected, (k, m)
+    assert expected == 43_087_676_888_260_976_400
 
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=200, deadline=None)
 def test_first_parse_is_the_first_listed_tree(seed):
-    # Random grammars with features: wherever the full listing answers,
-    # the one-tree read gives its first tree.  Few random strings parse,
-    # so each constituent's span is read as a sentence of its own too.
-    # A grammar with a unary rule cycle is refused by both readers.
+    # Random grammars with features: wherever the listing is small, the
+    # one-tree read gives its first tree and the count its length.  Few
+    # random strings parse, so each constituent's span is read as a
+    # sentence of its own too.  A grammar with a unary rule cycle is
+    # refused by both readers.
     rng = random.Random(seed)
     rules, _ = random_case(rng)
     grammar = to_grammar(rules, rng)
     if grammar.compiled.cycle_rules:
         chart = parse([rng.choice(TERMINAL_POOL)], grammar)
-        for read in (first_parse, complete_parses):
+        for read in (first_parse, count_trees):
             with pytest.raises(ResourceError, match="unary cycle"):
                 read(chart, grammar.start_symbol)
         return
@@ -365,10 +374,11 @@ def test_first_parse_is_the_first_listed_tree(seed):
         spans += sorted({(n.start, n.end, n.category.name) for n in nodes})
         for start, end, symbol in spans:
             chart = parse(tags[start:end], grammar)
-            try:
-                trees = complete_parses(chart, symbol)
-            except TooAmbiguous:
+            count = count_trees(chart, symbol)
+            if count > LISTED:
                 continue
+            trees = list_trees(chart, symbol)
+            assert len(trees) == count
             assert first_parse(chart, symbol) == (trees[0] if trees else None)
 
 
@@ -436,7 +446,7 @@ def test_tied_derivations_come_in_category_order():
         warm.compiled.intern(Category(name, {"f": "a"} if name == "A" else {}))
     for grammar in (TIED, cold(TIED), warm):
         chart = parse(["x", "y"], grammar)
-        trees = complete_parses(chart, "S")
+        trees = list_trees(chart, "S")
         assert [t.children[1].category.label() for t in trees] == expected
         assert first_parse(chart, "S") == trees[0]
         assert chunks(chart) == [trees[0]]
@@ -461,7 +471,7 @@ def test_feature_variants_of_start_symbol_all_enumerate():
     for tags, expected in ((["X"], ["S[m=z]", "S[m=a]"]), (["y"], ["S[f=a]", "S[f=b]"])):
         for g in (grammar, cold(grammar)):
             chart = parse(tags, g)
-            trees = complete_parses(chart, "S")
+            trees = list_trees(chart, "S")
             assert [t.category.label() for t in trees] == expected
             assert first_parse(chart, "S") == trees[0]
 
@@ -475,7 +485,7 @@ def test_unary_cycle_terminates_everywhere():
     assert grammar.compiled.cycle_rules == (0, 1) and EN_GRAMMAR.compiled.cycle_rules == ()
     assert ("A", 0, 1) in chart_spans(chart) and ("B", 0, 1) in chart_spans(chart)
     refusal = re.escape("grammar/rule[1]: unary cycle through 'A'")
-    for read in (chunks, lambda chart: first_parse(chart, "A"), lambda chart: complete_parses(chart, "A")):
+    for read in (chunks, lambda chart: first_parse(chart, "A"), lambda chart: count_trees(chart, "A")):
         with pytest.raises(ResourceError, match=refusal):
             read(chart)
 
@@ -484,8 +494,7 @@ def test_packed_chart_stays_small_under_massive_ambiguity():
     chart = parse(["N"] * 40, AMBIG_NP)
     # quadratic node count instead of Catalan blow-up
     assert len(chart.nodes) < 40 * 40 * 2
-    with pytest.raises(TooAmbiguous):
-        complete_parses(chart, "NP")
+    assert count_trees(chart, "NP") == count_bracketings(40)
 
 
 # The compiled grammar tables. Every parse with a grammar object shares

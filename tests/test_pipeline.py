@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xdoc import parsing, pipeline
-from xdoc.errors import InputError, MalformedResource, ResourceError, TooAmbiguous, UnmappedTag
-from xdoc.parsing import ParseTree, complete_parses, parse, render_bracketed
+from xdoc import pipeline
+from xdoc.errors import InputError, MalformedResource, ResourceError, UnmappedTag
+from xdoc.parsing import ParseTree, count_trees, parse, render_bracketed
 from xdoc.pipeline import (
     STAGES,
     AnnotatedDocument,
@@ -603,8 +603,7 @@ def assert_first_ambiguous_tree(analysis):
 
 def test_overambiguous_sentence_gets_its_first_tree_in_strict_mode(tmp_path):
     path = ambiguous_bundle_path(tmp_path)
-    with pytest.raises(TooAmbiguous):  # 1,430 readings: over the cap of the full listing
-        complete_parses(parse(["N"] * 9, load_bundle(path).grammar), "NP")
+    assert count_trees(parse(["N"] * 9, load_bundle(path).grammar), "NP") == 1430
     doc = run_pipeline(path, "a b c d e f g h i")
     assert_first_ambiguous_tree(doc.sentences[0])
 
@@ -811,20 +810,6 @@ def test_warm_bundle_gives_the_bytes_of_a_cold_one(en_bio_path, de_core_path, tm
     assert [d.get("code") for d in s3.iter("diag")] == ["UnmappedTag"]
     assert _rendered(calls) == cold
     assert _rendered(calls) == cold
-
-
-def test_analysis_never_counts_trees(de_core_path, tmp_path, monkeypatch):
-    # With no tree allowed, every full listing refuses; the analysis path
-    # reads one tree per sentence and never consults the cap.
-    monkeypatch.setattr(parsing, "TREE_LIMIT", 0)
-    path = ambiguous_bundle_path(tmp_path)
-    with pytest.raises(TooAmbiguous):
-        complete_parses(parse(["N"], load_bundle(path).grammar), "NP")
-    doc = run_pipeline(path, "a b c d e f g h i")
-    assert_first_ambiguous_tree(doc.sentences[0])
-    tags = external_tags_file(tmp_path, DE_LENIENT_TAGS)
-    doc = run_pipeline(de_core_path, external_tags=tags, lenient=True)
-    assert [a.tree is not None for a in doc.sentences] == [True, False, False]
 
 
 def test_threads_sharing_a_bundle_give_the_bytes_of_one_thread(

@@ -17,8 +17,10 @@ from xdoc.resources import (
     GrammarRule,
     GrammaticalFunction,
     Ontology,
+    PatternItem,
     ResourceBundle,
     SemLexEntry,
+    StructPattern,
     load_bundle,
     loads_bundle,
     serialize_bundle,
@@ -1012,13 +1014,43 @@ def _slot(role: str, gf: str) -> FrameSlot:
          ValueError, "duplicate role 'a'"),
         (lambda: GrammaticalFunction("subject", Category("NP", {"name": "x"})),
          ValueError, r"feature keys \['name'\] are reserved"),
+        (lambda: CaseFrame("f", "p", "in\thibits", (_slot("a", "subject"),)),
+         ValueError, re.escape(r"relation 'in\thibits' holds U+0009")),
+        (lambda: StructPattern("p", "NP", (PatternItem("N"), PatternItem("N")), "h\u2028as", 1, 2),
+         ValueError, re.escape(r"relation 'h\u2028as' holds U+2028")),
+        (lambda: Ontology(frozenset({"a", "b\nc", "b\rc"})),
+         ValueError, re.escape(r"concept id 'b\nc' holds U+000A")),
     ],
     ids=["untagged-form", "empty-map-target", "semlex-pair", "isa-target", "isa-source", "lexmap-target",
-         "isa-cycle", "slot-gf", "slot-role", "function-cat"],
+         "isa-cycle", "slot-gf", "slot-role", "function-cat", "frame-relation-tab",
+         "pattern-relation-break", "concept-id-break"],
 )
 def test_constructors_refuse_what_the_loader_refuses_in_code(build, error, message):
     with pytest.raises(error, match=message):
         build()
+
+
+@pytest.mark.parametrize("char", ["\t", "\n", "\r", "\x85", "\u2028", "\u2029"])
+@pytest.mark.parametrize(
+    "old,new,location,what",
+    [
+        ('relation="inhibits"', 'relation="in{}hibits"', "frames/frame[1]", "relation 'in{}hibits'"),
+        ('relation="has"', 'relation="h{}as"', "structmap/pattern[1]", "relation 'h{}as'"),
+        ('"substance"', '"sub{}stance"', "ontology/concept[2]", "concept id 'sub{}stance'"),
+    ],
+    ids=["frame", "pattern", "concept"],
+)
+def test_loader_refuses_a_string_that_splits_a_relation_table_row(en_bio_path, char, old, new, location, what):
+    # The relation table copies relation names and concept ids into its
+    # fields; a tab or line break in one would split its row.
+    with open(en_bio_path, encoding="utf-8") as f:
+        document = f.read()
+    assert old in document
+    document = document.replace(old, new.format(f"&#{ord(char)};"))
+    with pytest.raises(MalformedResource) as exc:
+        loads_bundle(document)
+    reason = what.replace("{}", repr(char)[1:-1])  # as repr() writes the string
+    assert str(exc.value) == f"{location}: {reason} holds U+{ord(char):04X}, which splits a relation table row"
 
 
 def test_one_lemma_may_carry_several_parser_tags():

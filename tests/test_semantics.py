@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import xdoc.semantics
 from xdoc.errors import UnknownConcept
-from xdoc.parsing import ParseTree, complete_parses, parse
+from xdoc.parsing import ParseTree, first_parse, parse
 from xdoc.resources import (
     Category,
     GF_SLOTS,
@@ -368,17 +368,16 @@ def test_semantics_module_names_no_language(en_bio, de_core):
 
 
 def analyzed_sentence(text: str, bundle):
-    from xdoc.structure import Sentence, tokenize
+    from xdoc.structure import Sentence, segment
     from xdoc.tagging import apply_rules, initial_tag, map_tagset
 
-    tokens = tokenize(text, bundle.abbreviations)
+    tokens, _ = segment(text, bundle.abbreviations)
     tagged = apply_rules(initial_tag(Sentence(0, tuple(tokens)), bundle), bundle.context_rules)
     words = [t for t in tagged if t.token.form not in ".,;:!?()\"'"]
     mapped = map_tagset(words, bundle.tagset_map)
     mapped = semantic_tag(mapped, bundle)
     chart = parse([(t.parser_tag, {}) for t in mapped], bundle.grammar)
-    trees = complete_parses(chart, bundle.grammar.start_symbol)
-    return trees[0], mapped
+    return first_parse(chart, bundle.grammar.start_symbol), mapped
 
 
 def test_frame_instantiated_for_matching_sentence(en_bio):

@@ -11,8 +11,6 @@ from xdoc.structure import (
     Token,
     is_punctuation,
     segment,
-    split_sentences,
-    tokenize,
 )
 
 
@@ -20,71 +18,73 @@ def forms(tokens):
     return [t.form for t in tokens]
 
 
+def tokens_of(text, abbreviations=()):
+    return segment(text, abbreviations)[0]
+
+
 def test_tokenize_offsets_counted_by_hand():
-    tokens = tokenize("Aspirin inhibits COX-2.")
+    tokens = tokens_of("Aspirin inhibits COX-2.")
     assert forms(tokens) == ["Aspirin", "inhibits", "COX-2", "."]
     assert [t.offset for t in tokens] == [0, 8, 17, 22]
 
 
 def test_tokenize_empty_text():
-    assert tokenize("") == []
+    assert tokens_of("") == []
 
 
 def test_abbreviation_keeps_trailing_period():
-    tokens = tokenize("e.g. cells", {"e.g."})
+    tokens = tokens_of("e.g. cells", {"e.g."})
     assert forms(tokens) == ["e.g.", "cells"]
 
 
 def test_abbreviation_absent_splits_periods():
-    assert forms(tokenize("e.g. cells")) == ["e", ".", "g", ".", "cells"]
+    assert forms(tokens_of("e.g. cells")) == ["e", ".", "g", ".", "cells"]
 
 
 def test_punctuation_split_into_own_tokens():
-    assert forms(tokenize('He said: "stop (now), please!"')) == [
+    assert forms(tokens_of('He said: "stop (now), please!"')) == [
         "He", "said", ":", '"', "stop", "(", "now", ")", ",", "please", "!", '"',
     ]
 
 
 def test_digit_internal_punctuation_stays_inside():
-    assert forms(tokenize("pH 3.5 rose 1,000-fold")) == ["pH", "3.5", "rose", "1,000-fold"]
+    assert forms(tokens_of("pH 3.5 rose 1,000-fold")) == ["pH", "3.5", "rose", "1,000-fold"]
 
 
 def test_hyphenated_token_is_one_token():
-    assert forms(tokenize("COX-2 level")) == ["COX-2", "level"]
+    assert forms(tokens_of("COX-2 level")) == ["COX-2", "level"]
 
 
 def test_multibyte_offsets_are_byte_based():
     text = "Über die Löslichkeit."
-    tokens = tokenize(text)
+    tokens = tokens_of(text)
     raw = text.encode("utf-8")
     for token in tokens:
         assert raw[token.offset : token.offset + token.length].decode("utf-8") == token.form
 
 
 def test_abbreviation_followed_by_punctuation():
-    tokens = tokenize("(e.g. Dr.),", {"e.g.", "Dr."})
+    tokens = tokens_of("(e.g. Dr.),", {"e.g.", "Dr."})
     assert forms(tokens) == ["(", "e.g.", "Dr.", ")", ","]
 
 
 def test_split_sentences_abbreviation_aware():
     abbrevs = {"Dr."}
-    tokens = tokenize("Dr. Smith arrived. He left.", abbrevs)
-    sentences = split_sentences(tokens, abbrevs)
+    _, sentences = segment("Dr. Smith arrived. He left.", abbrevs)
     assert [len(s.tokens) for s in sentences] == [4, 3]
 
 
 def test_split_sentences_no_terminator():
-    tokens = tokenize("hello world")
-    assert [len(s.tokens) for s in split_sentences(tokens)] == [2]
+    _, sentences = segment("hello world")
+    assert [len(s.tokens) for s in sentences] == [2]
 
 
 def test_split_sentences_empty():
-    assert split_sentences([]) == []
+    assert segment("") == ([], [])
 
 
 def test_split_sentences_partition():
-    tokens = tokenize("One. Two! Three? Four")
-    sentences = split_sentences(tokens)
+    tokens, sentences = segment("One. Two! Three? Four")
     flat = [t for s in sentences for t in s.tokens]
     assert flat == tokens
     assert [s.id for s in sentences] == list(range(len(sentences)))
@@ -95,12 +95,6 @@ def test_segment_resets_at_blank_line():
     assert [len(s.tokens) for s in sentences] == [2, 1]
     flat = [t for s in sentences for t in s.tokens]
     assert flat == tokens
-
-
-def test_segment_without_blank_line_matches_split():
-    text = "One. Two three."
-    tokens, sentences = segment(text)
-    assert sentences == split_sentences(tokens)
 
 
 TEXT_ALPHABET = "abA .!?\n-3(ü"
@@ -153,7 +147,7 @@ def _reference_tokenize(text, abbreviations):
 @settings(max_examples=200)
 def test_tokens_index_back_into_source(text, abbrevs):
     raw = text.encode("utf-8")
-    tokens = tokenize(text, abbrevs)
+    tokens = tokens_of(text, abbrevs)
     previous_end = 0
     for token in tokens:
         assert raw[token.offset : token.offset + token.length].decode("utf-8") == token.form
@@ -169,14 +163,13 @@ def test_tokens_index_back_into_source(text, abbrevs):
 @given(abbrev_texts, abbrev_sets)
 @settings(max_examples=300)
 def test_tokenize_matches_linear_scan(text, abbrevs):
-    assert tokenize(text, abbrevs) == _reference_tokenize(text, abbrevs)
+    assert tokens_of(text, abbrevs) == _reference_tokenize(text, abbrevs)
 
 
 @given(texts, abbrev_sets)
 @settings(max_examples=200)
 def test_sentences_partition_tokens(text, abbrevs):
-    tokens = tokenize(text, abbrevs)
-    sentences = split_sentences(tokens, abbrevs)
+    tokens, sentences = segment(text, abbrevs)
     assert [t for s in sentences for t in s.tokens] == tokens
     for sentence in sentences:
         assert isinstance(sentence, Sentence)
@@ -188,29 +181,30 @@ def test_sentences_partition_tokens(text, abbrevs):
 def test_removing_abbreviation_never_merges_sentences(text, abbrevs):
     for dropped in abbrevs:
         smaller = abbrevs - {dropped}
-        full = split_sentences(tokenize(text, abbrevs), abbrevs)
-        reduced = split_sentences(tokenize(text, smaller), smaller)
+        _, full = segment(text, abbrevs)
+        _, reduced = segment(text, smaller)
         assert len(reduced) >= len(full)
 
 
 def _reference_segment(text, abbrevs):
-    """Naive segment: re-encode the prefix per break, test every break per token."""
-    tokens = tokenize(text, abbrevs)
-    sentences = split_sentences(tokens, abbrevs)
+    """Naive segment: the linear-scan tokens, re-encoding the prefix per
+    break and testing every break per token."""
+    tokens = _reference_tokenize(text, abbrevs)
     breaks = [len(text[: m.start()].encode("utf-8")) for m in re.finditer(r"\n[ \t\r]*\n", text)]
-    resplit = []
-    for sentence in sentences:
-        current = []
-        for token in sentence.tokens:
-            if current:
-                prev_end = current[-1].offset + current[-1].length
-                if any(prev_end <= b < token.offset for b in breaks):
-                    resplit.append(Sentence(len(resplit), tuple(current)))
-                    current = []
-            current.append(token)
+    sentences, current = [], []
+    for token in tokens:
         if current:
-            resplit.append(Sentence(len(resplit), tuple(current)))
-    return tokens, resplit
+            prev_end = current[-1].offset + current[-1].length
+            if any(prev_end <= b < token.offset for b in breaks):
+                sentences.append(Sentence(len(sentences), tuple(current)))
+                current = []
+        current.append(token)
+        if token.form in ".!?" and token.form not in abbrevs:
+            sentences.append(Sentence(len(sentences), tuple(current)))
+            current = []
+    if current:
+        sentences.append(Sentence(len(sentences), tuple(current)))
+    return tokens, sentences
 
 
 # Words with one- to four-byte UTF-8 characters, joined by gaps that are

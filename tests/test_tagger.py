@@ -6,12 +6,12 @@ from hypothesis import strategies as st
 
 from xdoc.errors import MalformedLine, UnmappedTag
 from xdoc.resources import ContextRule, loads_bundle
-from xdoc.structure import Sentence, Token, tokenize
+from xdoc.structure import Sentence, Token, segment
 from xdoc.tagging import apply_rules, import_external_tags, initial_tag, map_tagset
 
 
 def sentence_of(text: str) -> Sentence:
-    return Sentence(0, tuple(tokenize(text)))
+    return Sentence(0, tuple(segment(text)[0]))
 
 
 def tag_sentence(text: str, bundle) -> list:
