@@ -12,7 +12,8 @@ failing sentence and continue with the rest.
 The parse stage keeps one tree per sentence, the first in the
 derivation order of :mod:`xdoc.parsing`, and reads only that tree off
 the packed chart, so no sentence is refused for its number of readings.
-A sentence without a complete parse falls back to chunks.
+A sentence without a complete parse falls back to chunks, whose trees
+feed frames and structure patterns and are then dropped (see below).
 
 A sentence's ``tagged`` holds every token with all its annotations and
 ``parse_input`` its words, the same objects; both are set once per sentence.
@@ -87,13 +88,13 @@ def check_stages(stages: Iterable[str]) -> tuple[str, ...]:
 class SentenceAnalysis:
     """One sentence's analysis.  ``tagged`` holds every token with all its
     annotations; ``parse_input``, set once from the map stage on, is its
-    word subsequence, made of the same objects."""
+    word subsequence, made of the same objects.  A chunk fallback keeps no
+    ``tree`` (None, ``failed`` false) though the parse stage read its words."""
 
     sentence: Sentence
     tagged: tuple[TaggedToken, ...] | None = None
     parse_input: tuple[TaggedToken, ...] | None = None
     tree: ParseTree | None = None
-    chunk_trees: tuple[ParseTree, ...] = ()
     frames: tuple[FrameInstance, ...] = ()
     relations: tuple[Relation, ...] = ()
     diagnostics: tuple[Diagnostic, ...] = ()
@@ -166,17 +167,18 @@ def _analyze_sentence(
         analysis.diagnostics += (Diagnostic("UnmappedTag", str(exc)),)
         return
 
+    trees: list[ParseTree] = []  # what frames and rel read; a chunk cover dies with this call
     if "parse" in stages and words:
         chart = parse([t.parser_tag for t in words], bundle.grammar)
         analysis.tree = first_parse(chart, bundle.grammar.start_symbol)
-        if analysis.tree is None:
-            analysis.chunk_trees = tuple(chunks(chart))
+        if analysis.tree is not None:
+            trees = [analysis.tree]
+        elif "frames" in stages:
+            trees = chunks(chart)
 
     if "sem" in stages:
         words = semantic_tag(words, bundle)
     _annotate(analysis, words)
-
-    trees = [analysis.tree] if analysis.tree is not None else list(analysis.chunk_trees)
 
     if "frames" in stages:
         instances: list[FrameInstance] = []
@@ -189,9 +191,7 @@ def _analyze_sentence(
     if "rel" in stages:
         relations = _frame_relations(analysis.frames, bundle)
         for tree in trees:
-            relations.extend(
-                map_np_structure(tree, bundle.struct_patterns, analysis.parse_input)
-            )
+            relations.extend(map_np_structure(tree, bundle.struct_patterns, analysis.parse_input))
         analysis.relations = tuple(relations)
 
 

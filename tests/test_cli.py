@@ -113,6 +113,37 @@ def test_analyze_stage_prefix_limits_output(en_bio_path, tmp_path):
     assert "tag0" not in body
 
 
+# No complete parse in en-bio; a run through the parse stage writes its
+# mapped tags and no <parse>, and reads no chunk cover that no stage uses.
+FALLBACK = "Aspirin inhibits cyclooxygenase at 2.5 mM.\n"
+FALLBACK_TO_PARSE_XML = """<document lang="en">
+  <sentence id="s1">
+    <tokens>
+      <t id="0" off="0" len="7" form="Aspirin" tag0="NN" tag="N"/>
+      <t id="1" off="8" len="8" form="inhibits" tag0="VBZ" tag="V"/>
+      <t id="2" off="17" len="14" form="cyclooxygenase" tag0="NN" tag="N"/>
+      <t id="3" off="32" len="2" form="at" tag0="NN" tag="N"/>
+      <t id="4" off="35" len="3" form="2.5" tag0="NN" tag="N"/>
+      <t id="5" off="39" len="2" form="mM" tag0="NN" tag="N"/>
+      <t id="6" off="41" len="1" form="." tag0="NN"/>
+    </tokens>
+  </sentence>
+</document>
+"""
+
+
+def test_parse_prefix_writes_a_fallback_sentence_without_its_chunks(en_bio_path, tmp_path, monkeypatch):
+    text = tmp_path / "doc.txt"
+    text.write_text(FALLBACK, encoding="utf-8")
+    xml_out = tmp_path / "doc.xml"
+    read = []
+    monkeypatch.setattr(xdoc.pipeline, "chunks", lambda chart: read.append(chart) or [])
+    argv = ["analyze", "--bundle", en_bio_path, "--input", str(text), "--output", str(xml_out)]
+    assert main(argv + ["--stages", "tok,sent,tag,map,parse"]) == 0
+    assert xml_out.read_text(encoding="utf-8") == FALLBACK_TO_PARSE_XML
+    assert read == []
+
+
 def test_analyze_strict_unmappable_tag_exits_three(en_bio_path, tmp_path, capsys):
     tags = tmp_path / "tags.tsv"
     tags.write_text("Foo\tFW\n", encoding="utf-8")

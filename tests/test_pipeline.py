@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import re
+import types
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
@@ -122,12 +124,19 @@ def test_punctuation_tokens_are_tagged_but_not_parsed(en_bio):
     assert period.parser_tag is None
 
 
+FALLBACK = "Aspirin inhibits cyclooxygenase at 2.5 mM."  # "at 2.5 mM" has no place in en-bio's grammar
+
+
 def test_sentence_without_parse_falls_back_to_chunks(en_bio):
-    doc = analyze_text(en_bio, "the inhibitor of the enzyme")
+    doc = analyze_text(en_bio, FALLBACK)
     analysis = doc.sentences[0]
     assert analysis.tree is None
-    assert analysis.chunk_trees
     assert not analysis.failed
+    assert [t.token.form for t in analysis.parse_input] == ["Aspirin", "inhibits", "cyclooxygenase", "at", "2.5", "mM"]
+    # The chunk cover holds the clause, so its frame still matches.
+    assert [r.name for r in analysis.relations] == ["inhibits"]
+    assert export_relations(doc).splitlines()[1:] == ["inhibits\tAspirin\tsubstance\tcyclooxygenase\tenzyme\ts1"]
+    assert "<parse>" not in emit_xml(doc)
 
 
 def test_run_pipeline_takes_exactly_one_input(en_bio_path, tmp_path):
@@ -597,7 +606,6 @@ def assert_first_ambiguous_tree(analysis):
     assert render_bracketed(analysis.tree) == first_ambiguous_np(9)
     assert (analysis.tree.start, analysis.tree.end) == (0, 9)
     assert analysis.diagnostics == ()
-    assert analysis.chunk_trees == ()
     assert not analysis.failed
 
 
@@ -847,3 +855,67 @@ def test_threads_sharing_a_bundle_give_the_bytes_of_one_thread(
     for n, got in results.items():
         assert got == cold[n % 2 :] + cold[: n % 2]
     assert len(results) == 4
+
+
+# Memory held by an analysis: chunk trees feed frames and structure patterns
+# and are dropped, so a document holds only the trees its XML writes.
+
+FALLBACK_HEAVY = (
+    FALLBACK + " the inhibitor of the enzyme . " + ASPIRIN
+    + " the liver of the patient . The drug inhibits the enzyme in the liver ."
+)
+DE_CHAINS_TAGS = "\n\n".join(
+    "\n".join(f"{form}\t{tag}" for form, tag in sentence + [(".", "$.")])
+    for sentence in (
+        _de_np(("Der", "ARTN"), "Hersteller", ["Wirkstoffs", "Labors", "Instituts"]),
+        _de_np(("Der", "ARTN"), "Wirkstoff", ["Herstellers"]) + [("hemmt", "VVFIN")]
+        + _de_np(("den", "ARTA"), "Katalysator", ["Präparats"]),
+        _de_np(("Die", "ARTN"), "Extrakt", ["Versuchs", "Labors", "Instituts", "Verfahrens", "Präparats"]),
+    )
+) + "\n"
+
+
+def _reached_tree_nodes(root) -> set[int]:
+    """Ids of the ParseTree nodes reachable from ``root``; classes, modules and functions are not entered."""
+    seen, stack, nodes = {id(root)}, [root], set()
+    while stack:
+        obj = stack.pop()
+        if type(obj) is ParseTree:
+            nodes.add(id(obj))
+        for ref in gc.get_referents(obj):
+            if id(ref) not in seen and not isinstance(ref, (type, types.ModuleType, types.FunctionType)):
+                seen.add(id(ref))
+                stack.append(ref)
+    return nodes
+
+
+def test_a_document_holds_only_the_trees_it_writes(en_bio_path, de_core_path, tmp_path):
+    docs = [
+        run_pipeline(en_bio_path, FALLBACK_HEAVY),
+        run_pipeline(de_core_path, external_tags=external_tags_file(tmp_path, DE_CHAINS_TAGS)),
+    ]
+    for doc in docs:
+        written = [a.tree for a in doc.sentences if a.tree is not None]
+        fallbacks = [a for a in doc.sentences if a.tree is None and not a.failed and a.parse_input]
+        assert written and len(fallbacks) >= 2
+        assert _reached_tree_nodes(doc) == {id(node) for tree in written for node in tree.preorder()}
+
+
+@pytest.mark.parametrize("source, lenient", [("en-bio text", False), ("en-bio text", True), ("de-core tags", True)])
+def test_analysis_and_output_leave_no_cyclic_garbage(en_bio_path, de_core_path, tmp_path, source, lenient):
+    if source == "en-bio text":
+        path, kwargs = en_bio_path, {"text": FALLBACK_HEAVY}
+    else:
+        tags = external_tags_file(tmp_path, DE_CHAINS_TAGS + "\n" + DE_LENIENT_TAGS)
+        path, kwargs = de_core_path, {"external_tags": tags}
+    run_pipeline(path, **kwargs, lenient=lenient)  # the bundle is loaded and cached outside the count
+    gc.collect()
+    gc.disable()
+    try:
+        doc = run_pipeline(path, **kwargs, lenient=lenient)
+        emit_xml(doc)
+        export_relations(doc)
+        del doc
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
