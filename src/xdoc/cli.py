@@ -166,7 +166,13 @@ def _cmd_parse(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: built on the first call of :func:`main`.
+
+    ``parse_args`` leaves the parser unchanged, so every ``main`` call
+    may share it.
+    """
     parser = argparse.ArgumentParser(
         prog="xdoc", description="Document analysis driven by XML language resources."
     )
@@ -199,18 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The one parser of this process: built on the first call of :func:`main`.
-
-    ``parse_args`` leaves the parser unchanged, so every ``main`` call
-    may share it.
-    """
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ResourceError as exc:

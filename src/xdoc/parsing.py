@@ -208,9 +208,6 @@ class Chart:
             for i, (cat, start, end) in enumerate(keys)
         ]
 
-    def node(self, node_id: int) -> ChartNode:
-        return self.nodes[node_id]
-
 
 def _bits(mask: int) -> list[int]:
     """The positions of the set bits of ``mask``, ascending."""

@@ -189,7 +189,7 @@ def _analyze_sentence(
         analysis.frames = tuple(instances)
 
     if "rel" in stages:
-        relations = _frame_relations(analysis.frames, bundle)
+        relations = _frame_relations(analysis.frames)
         for tree in trees:
             relations.extend(map_np_structure(tree, bundle.struct_patterns, analysis.parse_input))
         analysis.relations = tuple(relations)

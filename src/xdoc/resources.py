@@ -491,10 +491,6 @@ class ResourceBundle:
             by_lemma.setdefault(frame.predicate_lemma, []).append(frame)
         return MappingProxyType({lemma: tuple(fs) for lemma, fs in by_lemma.items()})
 
-    @cached_property
-    def frames_by_id(self) -> Mapping[str, CaseFrame]:
-        return MappingProxyType({frame.id: frame for frame in self.frames})
-
 
 # ---------------------------------------------------------------------------
 # The XML form

@@ -4,9 +4,10 @@ The semantic lexicon assigns lemma and semantic class per (lemma,
 parser tag) pair; the ontology's lexmap lifts semantic classes to
 concepts.  Case frames bind grammatical functions to roles, with
 ontology subsumption checking each filler against the slot's concept
-constraint; an accepted instance relates its subject's filler to its
-object's.  Noun-phrase structure patterns map constituent shapes to
-binary relations.
+constraint; an accepted instance holds the frame it matched and relates
+its subject's filler to its object's through that frame's own slots.
+Noun-phrase structure patterns map constituent shapes to binary
+relations.
 
 Grammatical functions are declared in the bundle, by position or by
 features alike, so this module names no category, feature or value.
@@ -20,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import UnknownConcept
 from .parsing import ParseTree
-from .resources import GrammaticalFunction, Ontology, ResourceBundle, StructPattern
+from .resources import CaseFrame, GrammaticalFunction, Ontology, ResourceBundle, StructPattern
 from .tagging import TaggedToken
 
 __all__ = [
@@ -36,10 +37,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FrameInstance:
-    """One accepted case-frame match: predicate token plus role bindings."""
+    """One accepted case-frame match: the frame itself (its id and relation
+    are read from it), the predicate token and the role bindings."""
 
-    frame_id: str
-    relation: str
+    case_frame: CaseFrame
     predicate: int  # token id
     bindings: Mapping[str, tuple[int, str]]  # role -> (token id, concept)
 
@@ -210,23 +211,20 @@ def instantiate_frames(
                     break
                 bindings[slot.role] = (filler.token.id, concept)
             if accepted:
-                instances.append(
-                    FrameInstance(frame.id, frame.relation, t.token.id, bindings)
-                )
+                instances.append(FrameInstance(frame, t.token.id, bindings))
     return instances, diagnostics
 
 
-def _frame_relations(frames: Sequence[FrameInstance], bundle: ResourceBundle) -> list[Relation]:
-    by_id = bundle.frames_by_id
+def _frame_relations(frames: Sequence[FrameInstance]) -> list[Relation]:
     out: list[Relation] = []
     for instance in frames:
-        frame = by_id[instance.frame_id]
+        frame = instance.case_frame
         by_gf = {slot.gf: slot.role for slot in frame.slots}
         subj = instance.bindings.get(by_gf.get("subject", ""))
         obj = instance.bindings.get(by_gf.get("object", ""))
         if subj is None or obj is None or subj[0] == obj[0]:
             continue
-        out.append(Relation(instance.relation, subj[0], obj[0], instance.frame_id, instance))
+        out.append(Relation(frame.relation, subj[0], obj[0], frame.id, instance))
     return out
 
 

@@ -545,7 +545,7 @@ def test_back_to_back_main_calls_match_fresh_processes(en_bio_path, de_core_path
     in_process = [_in_process(argv, capsys) for argv in calls]
     assert [code for code, _, _ in in_process] == [0, 3, 0, 0, 0, 0, 0, 2, 0, 0]
     assert in_process == [_fresh_process(argv) for argv in calls]
-    assert xdoc.cli._parser() is xdoc.cli._parser()
+    assert xdoc.cli.build_parser() is xdoc.cli.build_parser()
 
 
 # Output files are overwritten in place; stdout gets the same UTF-8 bytes.

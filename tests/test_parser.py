@@ -541,7 +541,7 @@ def assert_derivations_recheck(chart):
                 assert children == () and node.end == node.start + 1
                 continue
             rule = rules[rule_idx]
-            kids = [chart.node(c) for c in children]
+            kids = [chart.nodes[c] for c in children]
             assert len(kids) == len(rule.rhs)
             assert [k.start for k in kids] == [node.start] + [k.end for k in kids[:-1]]
             assert kids[-1].end == node.end

@@ -25,7 +25,7 @@ from xdoc.pipeline import (
     export_relations,
     run_pipeline,
 )
-from xdoc.resources import Category, load_bundle
+from xdoc.resources import Category, load_bundle, loads_bundle, validate_bundle
 from xdoc.semantics import Diagnostic
 from xdoc.structure import Sentence, Token
 from xdoc.tagging import TaggedToken
@@ -579,6 +579,42 @@ def test_structural_relation_xml_uses_positional_arg_roles(de_core):
     structural = by_type["hat"]
     assert structural.get("pred") is None
     assert [arg.get("role") for arg in structural.findall("arg")] == ["arg1", "arg2"]
+
+
+# Frame ids need not be unique: a second frame under the original's id,
+# with another predicate and optional slots that bind object then
+# subject, must not take the original's relations, wherever it stands.
+
+SHARED_ID_FRAMES = {
+    "en-bio": ('<frame id="inhibit-1" predicate="inhibit" ',
+               '<frame id="inhibit-1" predicate="patient" relation="inhibits">'
+               '<slot role="treated" gf="object" fill="entity" required="false"/>'
+               '<slot role="treater" gf="subject" fill="entity" required="false"/></frame>',
+               ASPIRIN),
+    "de-core": ('<frame id="hemm-1" predicate="hemm" ',
+                '<frame id="hemm-1" predicate="hersteller" relation="hemmt">'
+                '<slot role="ziel" gf="object" fill="entitaet" required="false"/>'
+                '<slot role="quelle" gf="subject" fill="entitaet" required="false"/></frame>',
+                GERMAN_OVS),
+}
+
+
+@pytest.mark.parametrize("place", ["before", "after"])
+@pytest.mark.parametrize("name", sorted(SHARED_ID_FRAMES))
+def test_frames_sharing_an_id_keep_their_relations(name, place, request):
+    original, extra, text = SHARED_ID_FRAMES[name]
+    xml = Path(request.getfixturevalue(name.replace("-", "_") + "_path")).read_text(encoding="utf-8")
+    assert xml.count(original) == 1
+    if place == "before":
+        shared = xml.replace(original, extra + original)
+    else:
+        shared = xml.replace("</frames>", extra + "</frames>")
+    bundle = loads_bundle(shared)
+    assert [f.id for f in bundle.frames].count(original.split('"')[1]) == 2
+    assert validate_bundle(bundle) == []
+    rows = export_relations(analyze_text(bundle, text))
+    assert rows == export_relations(analyze_text(loads_bundle(xml), text))
+    assert len(rows.splitlines()) == 2
 
 
 AMBIGUOUS_BUNDLE = """<resources lang="xx">

@@ -971,13 +971,12 @@ def test_serializer_rejects_reserved_feature_keys():
 def test_lookup_tables_are_built_on_first_use_only(en_bio_path):
     bundle = load_bundle(en_bio_path)
     validate_bundle(bundle)
-    lazy = ("sem_lexicon_index", "frames_by_lemma", "frames_by_id")
+    lazy = ("sem_lexicon_index", "frames_by_lemma")
     assert not set(lazy) & set(vars(bundle))
     assert "compiled" not in vars(bundle.grammar)
     assert bundle.sem_lexicon_index is bundle.sem_lexicon_index
     assert bundle.grammar.compiled is bundle.grammar.compiled
     assert bundle.sem_lexicon_index == {(e.lemma, e.pos): e for e in bundle.sem_lexicon}
-    assert bundle.frames_by_id == {f.id: f for f in bundle.frames}
     lemmas = {f.predicate_lemma for f in bundle.frames}
     assert bundle.frames_by_lemma == {
         lemma: tuple(f for f in bundle.frames if f.predicate_lemma == lemma) for lemma in lemmas

@@ -386,8 +386,8 @@ def test_frame_instantiated_for_matching_sentence(en_bio):
     assert diagnostics == []
     assert len(instances) == 1
     instance = instances[0]
-    assert instance.frame_id == "inhibit-1"
-    assert instance.relation == "inhibits"
+    assert instance.case_frame is en_bio.frames[0]
+    assert (instance.case_frame.id, instance.case_frame.relation) == ("inhibit-1", "inhibits")
     forms = {role: mapped_form(mapped, token_id) for role, (token_id, _) in instance.bindings.items()}
     assert forms == {"agent": "Aspirin", "patient": "cyclooxygenase"}
     assert instance.bindings["agent"][1] == "substance"
@@ -482,9 +482,11 @@ def test_unmatched_siblings_do_not_disturb_matches():
 def test_emitted_instance_satisfies_frame_invariants(en_bio):
     tree, mapped = analyzed_sentence("Aspirin inhibits cyclooxygenase .", en_bio)
     instances, _ = instantiate_frames(tree, mapped, en_bio)
-    frame = next(f for f in en_bio.frames if f.id == instances[0].frame_id)
-    roles = {slot.role for slot in frame.slots}
+    assert instances
     for instance in instances:
+        frame = instance.case_frame
+        assert frame in en_bio.frames
+        roles = {slot.role for slot in frame.slots}
         assert set(instance.bindings) <= roles
         for slot in frame.slots:
             if slot.required:
