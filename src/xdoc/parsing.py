@@ -25,23 +25,26 @@ Because the chart is built bottom-up without top-down filtering it
 keeps every constituent, which the chunk fallback exploits when no
 complete parse exists.
 
-Derivations are read only when a reader asks, by one enumerator
-(:func:`_derivations`).  For a node it yields each derivation as a rule
-index and child nodes, in (rule index, child ends) order; derivations
-that tie on both, whose children differ only in category, come in the
-order of their child categories' (name, features), compared slot by
-slot.  That order uses no intern id, so any grammar object, warm or
-cold, reads the same trees.  A leaf's derivation (rule index None, no
-children) comes first.  Where a reader must choose among nodes, several
-start-symbol roots or several longest chunk candidates, it ranks them
-by their least rule index (their first derivation's), then category.
+Derivations are read only when a reader asks.  One enumerator
+(:func:`_derivations`) defines their order: for a node it yields each
+derivation as a rule index and child nodes, in (rule index, child ends)
+order; derivations that tie on both, whose children differ only in
+category, come in the order of their child categories' (name,
+features), compared slot by slot.  That order uses no intern id, so any
+grammar object, warm or cold, reads the same trees.  A leaf's derivation
+(rule index None, no children) comes first.  First trees do not walk
+the enumerator: :func:`_first_derivation` finds by end masks the
+derivation it yields first.  Where a reader must choose among nodes,
+several start-symbol roots or several longest chunk candidates, it ranks
+them by their least rule index (their first derivation's), then
+category.
 
 :func:`parse` charts any grammar, but the tree readers raise
 :class:`ResourceError` unless it has no unary rule cycle, as validation
 demands.  Such charts are acyclic: every node has a tree and none recurs
 within one, so no reader backtracks.  :func:`first_parse` and
-:func:`chunks` take each node's first derivation, at the cost of the
-tree's size.  No reader lists every tree: :func:`count_trees` counts
+:func:`chunks` read each node by :func:`_first_derivation`, at the cost
+of the tree's size.  No reader lists every tree: :func:`count_trees` counts
 them in one post-order pass, each node's count the sum over its
 derivations of the product of its children's counts (Billot & Lang
 1989), an exact ``int`` at any ambiguity.  Every walk keeps an explicit
@@ -402,6 +405,83 @@ def _placed(compiled: CompiledGrammar, cats: list[int], start: int, end: int) ->
     return sorted(((cat, start, end) for cat in cats), key=lambda node: _category_key(compiled, node[0]))
 
 
+def _first_derivation(chart: Chart, node: Key) -> Derivation:
+    """``next(_derivations(chart, node))``, found by end masks without the walk.
+
+    Rules are tried in index order.  A unary rule's derivation is its
+    first fitting child that ends at the node's end.  For a binary rule
+    the end masks of the fitting first children, ANDed with the
+    positions before the end where a second child's name starts, hold
+    every candidate split; the lowest split at which a fitting second
+    child ends at the node's end gives the derivation.  Several fitting
+    categories over one span are taken in :func:`_placed` order.  A rule
+    of three or more symbols hands the node to the enumerator, whose
+    earlier rules then yield nothing either.  A key that is no node of
+    the chart raises :class:`ValueError`.
+    """
+    cat, start, end = node
+    if end == start + 1 and chart._leaves[start] == cat:
+        return (None, ())
+    grammar = chart.grammar
+    compiled = grammar.compiled
+    matches = compiled.matches
+    parents = compiled.parents
+    at = chart._at
+    here = at[start]
+    for rule in compiled.rules_by_lhs.get(compiled.categories[cat].name, ()):
+        names = compiled.rhs_names[rule]
+        pairs = here.get(names[0])
+        if pairs is None:
+            continue
+        if len(names) > 2:
+            return next(_derivations(chart, node))
+        head = compiled.heads[rule]
+        # The fitting children at ``start``, each with its end mask.
+        fit = []
+        for other, ends in pairs:
+            matched = matches.get((rule, 0, other))
+            if matched is None:
+                matched = _matches(grammar, rule, 0, other)
+            if matched and head == 0:
+                parent = parents.get((rule, other))
+                matched = (parent if parent is not None else _parent(grammar, rule, other)) == cat
+            if matched:
+                fit.append((other, ends))
+        if len(names) == 1:
+            kids = [other for other, ends in fit if ends >> end & 1]
+            if kids:
+                return (rule, ((kids[0], start, end) if len(kids) == 1 else _placed(compiled, kids, start, end)[0],))
+            continue
+        reach = 0
+        for _, ends in fit:
+            reach |= ends
+        name = names[1]
+        reach &= ((1 << end) - 1) & chart._starts.get(name, 0)
+        while reach:
+            low = reach & -reach
+            reach ^= low
+            e = low.bit_length() - 1
+            kids = []
+            for other, ends in at[e][name]:
+                if not ends >> end & 1:
+                    continue
+                matched = matches.get((rule, 1, other))
+                if matched is None:
+                    matched = _matches(grammar, rule, 1, other)
+                if matched and head == 1:
+                    parent = parents.get((rule, other))
+                    matched = (parent if parent is not None else _parent(grammar, rule, other)) == cat
+                if matched:
+                    kids.append(other)
+            if kids:
+                left = [other for other, ends in fit if ends & low]
+                return (rule, (
+                    (left[0], start, e) if len(left) == 1 else _placed(compiled, left, start, e)[0],
+                    (kids[0], e, end) if len(kids) == 1 else _placed(compiled, kids, e, end)[0],
+                ))
+    raise ValueError(f"{node} is not a node of the chart")
+
+
 def _readable(chart: Chart) -> None:
     """:class:`ResourceError` if the chart's grammar has a unary cycle."""
     cycle = chart.grammar.compiled.cycle_rules
@@ -412,11 +492,12 @@ def _readable(chart: Chart) -> None:
 
 
 def _first_trees(chart: Chart, roots: Sequence[Key]) -> list[ParseTree]:
-    """Each root's first tree: every node's first derivation."""
+    """Each root's first tree: every node by :func:`_first_derivation`."""
     compiled = chart.grammar.compiled
     categories = compiled.categories
     heads = compiled.heads
     leaves = chart._leaves
+    new = tuple.__new__  # a ParseTree from its fields in order, at about half the cost of ParseTree(...)
     built: list[ParseTree] = []  # finished subtrees, siblings in order
     # A node to read, or a (node, derivation) pair whose children are built.
     stack: list = list(reversed(roots))
@@ -425,22 +506,22 @@ def _first_trees(chart: Chart, roots: Sequence[Key]) -> list[ParseTree]:
         if len(item) == 3:
             cat, start, end = item
             if end == start + 1 and leaves[start] == cat:  # a leaf's first derivation is its own
-                built.append(ParseTree(categories[cat], start, end))
+                built.append(new(ParseTree, (categories[cat], start, end, (), 0, None)))
                 continue
-            deriv = next(_derivations(chart, item))
+            deriv = _first_derivation(chart, item)
             stack.append((item, deriv))
             stack.extend(reversed(deriv[1]))
             continue
         (cat, start, end), (rule_idx, children) = item
         kids = tuple(built[-len(children):])
         del built[-len(children):]
-        built.append(ParseTree(categories[cat], start, end, kids, heads[rule_idx], rule_idx))
+        built.append(new(ParseTree, (categories[cat], start, end, kids, heads[rule_idx], rule_idx)))
     return built
 
 
 def _rank(chart: Chart, node: Key) -> tuple:
     """(least rule index, category) of ``node``; a leaf's rule ranks first."""
-    rule = next(_derivations(chart, node))[0]
+    rule = _first_derivation(chart, node)[0]
     return (-1 if rule is None else rule, _category_key(chart.grammar.compiled, node[0]))
 
 
@@ -455,8 +536,9 @@ def _roots(chart: Chart, start_symbol: str) -> list[Key]:
 def first_parse(chart: Chart, start_symbol: str) -> ParseTree | None:
     """The start symbol's first tree over the full span, or None if it has none.
 
-    The first root, each node read by its first derivation, in the order
-    the module docstring gives: one tree, however many the chart packs.
+    The first root, each node read by :func:`_first_derivation`, in the
+    order the module docstring gives: one tree, however many the chart
+    packs.
     """
     roots = _roots(chart, start_symbol)
     return _first_trees(chart, roots[:1])[0] if roots else None
@@ -487,8 +569,9 @@ def chunks(chart: Chart) -> list[ParseTree]:
 
     At each position the longest constituent starting there is taken,
     ties broken by the least rule index among its derivations, then by
-    category order, and read as its first tree; where none exists the
-    bare terminal is emitted.  The result covers the whole span without
+    category order, and read as its first tree, each node by
+    :func:`_first_derivation`; where none exists the bare terminal is
+    emitted.  The result covers the whole span without
     overlap.
     """
     _readable(chart)

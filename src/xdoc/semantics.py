@@ -241,18 +241,22 @@ def map_np_structure(
     against each child's head token.  Matching is applied to every node
     of the tree.
     """
-    patterns = list(patterns)
+    by_cat: dict[str, list[StructPattern]] = {}
+    for pattern in patterns:
+        by_cat.setdefault(pattern.constituent_cat, []).append(pattern)
     relations: list[Relation] = []
-    for node in tree.preorder():
-        if node.is_leaf:
-            continue
-        for pattern in patterns:
-            if node.category.name != pattern.constituent_cat:
-                continue
-            if len(node.children) != len(pattern.rhs_match):
+    stack = [tree] if tree.children else []  # inner nodes, in pre-order
+    while stack:
+        node = stack.pop()
+        children = node.children
+        for child in reversed(children):
+            if child.children:
+                stack.append(child)
+        for pattern in by_cat.get(node.category.name, ()):
+            if len(children) != len(pattern.rhs_match):
                 continue
             matched = True
-            for child, item in zip(node.children, pattern.rhs_match):
+            for child, item in zip(children, pattern.rhs_match):
                 if child.category.name != item.name:
                     matched = False
                     break
@@ -261,8 +265,8 @@ def map_np_structure(
                     break
             if not matched:
                 continue
-            arg1 = _head_token(node.children[pattern.arg1 - 1], tagged)
-            arg2 = _head_token(node.children[pattern.arg2 - 1], tagged)
+            arg1 = _head_token(children[pattern.arg1 - 1], tagged)
+            arg2 = _head_token(children[pattern.arg2 - 1], tagged)
             relations.append(
                 Relation(pattern.relation, arg1.token.id, arg2.token.id, pattern.id)
             )

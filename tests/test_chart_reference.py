@@ -11,7 +11,9 @@ leaves to creation order this parser ranks by category (name,
 features): two derivations of one node that agree on rule and child
 ends, several start-symbol roots (after their least rule index), and
 several longest chunk candidates of one least rule.  Only those are
-normalised on the reference side before comparing.
+normalised on the reference side before comparing.  On every node of
+such a chart, the first-tree reader (``_first_derivation``) must give
+the derivation the enumerator yields first.
 """
 
 from __future__ import annotations
@@ -26,8 +28,10 @@ from hypothesis import strategies as st
 import reference_parser
 from grammargen import TERMINAL_POOL, feature_tags, random_case, to_grammar
 from xdoc.errors import ResourceError
-from xdoc.parsing import ParseTree, _derivations, _roots, chunks, count_trees, first_parse, parse
-from xdoc.resources import Grammar
+from xdoc.parsing import (
+    ParseTree, _bits, _derivations, _first_derivation, _roots, chunks, count_trees, first_parse, parse,
+)
+from xdoc.resources import Category, Grammar, GrammarRule
 
 LISTED = 256  # charts with more trees are compared by count and first tree
 
@@ -73,6 +77,19 @@ def has_tie(chart) -> bool:
         < len(n.derivations)
         for n in chart.nodes
     )
+
+
+def assert_first_derivations(chart) -> int:
+    """The mask reader gives every node the enumerator's first derivation; returns the nodes checked."""
+    checked = 0
+    for start, names in enumerate(chart._at):
+        for pairs in names.values():
+            for cat, ends in pairs:
+                for end in _bits(ends):
+                    key = (cat, start, end)
+                    assert _first_derivation(chart, key) == next(_derivations(chart, key)), key
+                    checked += 1
+    return checked
 
 
 def least_rule(node) -> int:
@@ -145,6 +162,7 @@ def assert_same_as_reference(tags, grammar) -> bool:
             with pytest.raises(ResourceError, match="unary cycle"):
                 read(chart)
         return False
+    assert_first_derivations(chart)
     tied = has_tie(expected)
     break_ties_by_category(expected)
     assert chunks(chart) == reference_chunks(expected)
@@ -178,6 +196,43 @@ def test_chart_equals_reference_with_features(seed):
     for tags in inputs * 2:  # the second round runs on warm tables
         tied |= assert_same_as_reference(tags, grammar)
     event(f"derivation tie: {tied}")
+
+
+def test_reader_takes_tied_categories_in_category_order():
+    """Two categories tie on both children of a binary rule and on a unary rule.
+
+    X[f=2] and X[f=1] span the first T, Y[g=2] and Y[g=1] the second.
+    The rule making the later category of each pair comes first, so
+    intern ids run against category order.  Each lhs feature overrides
+    the head child's, so both categories of a tied child give one parent.
+    Q takes its head Y's feature, so each Q node fits one Y only.
+    """
+    def cat(name: str, **features: str) -> Category:
+        return Category(name, features)
+
+    grammar = Grammar("S", (
+        GrammarRule(cat("S", f="0"), (cat("X"), cat("Y")), 1),
+        GrammarRule(cat("U", f="0"), (cat("X"),), 1),
+        GrammarRule(cat("X", f="2"), (cat("T"),), 1),
+        GrammarRule(cat("X", f="1"), (cat("T"),), 1),
+        GrammarRule(cat("Y", g="2"), (cat("T"),), 1),
+        GrammarRule(cat("Y", g="1"), (cat("T"),), 1),
+        GrammarRule(cat("Q"), (cat("T"), cat("Y")), 2),
+    ))
+    chart = parse(["T", "T"], grammar)
+    ids = grammar.compiled.category_ids
+    x1, x2 = ids[("X", (("f", "1"),))], ids[("X", (("f", "2"),))]
+    y1, y2 = ids[("Y", (("g", "1"),))], ids[("Y", (("g", "2"),))]
+    assert x2 < x1 and y2 < y1
+    s, u = (ids[("S", (("f", "0"),))], 0, 2), (ids[("U", (("f", "0"),))], 0, 1)
+    assert len(list(_derivations(chart, s))) == 4 and len(list(_derivations(chart, u))) == 2
+    assert _first_derivation(chart, s) == next(_derivations(chart, s)) == (0, ((x1, 0, 1), (y1, 1, 2)))
+    assert _first_derivation(chart, u) == next(_derivations(chart, u)) == (1, ((x1, 0, 1),))
+    q2 = (ids[("Q", (("g", "2"),))], 0, 2)
+    assert _first_derivation(chart, q2) == next(_derivations(chart, q2)) == (6, ((ids[("T", ())], 0, 1), (y2, 1, 2)))
+    tree = first_parse(chart, "S")
+    assert [child.category for child in tree.children] == [cat("X", f="1"), cat("Y", g="1")]
+    assert_same_as_reference(["T", "T"], grammar)
 
 
 def genitive_chain(nps: int) -> list[tuple[str, dict[str, str]]]:
